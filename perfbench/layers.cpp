@@ -23,32 +23,11 @@ constexpr double kLineReplaySeconds = 1.5;
 /// The runaway guard every service job runs with (ServiceConfig default).
 constexpr double kServiceGuardC = 150.0;
 
-struct EngineCell {
-  const char* name;
-  const char* scenario;
-  const char* app;
-  const char* policy;
-  bool bml;
-};
-
-constexpr EngineCell kEngineCells[] = {
-    {"nexus_throttled", "nexus", "paperio", "throttled", false},
-    {"nexus_unthrottled", "nexus", "paperio", "unthrottled", false},
-    {"odroid_none", "odroid", "threedmark", "none", true},
-    {"odroid_default", "odroid", "threedmark", "default", true},
-    {"odroid_proposed", "odroid", "threedmark", "proposed", true},
-};
-
-SimRequest cell_request(const EngineCell& cell, std::uint64_t seed) {
-  SimRequest r;
-  r.scenario = cell.scenario;
-  r.app = cell.app;
-  r.policy = cell.policy;
-  r.with_bml = cell.bml;
-  r.duration_s = 1.0;
-  r.seed = seed;
-  return r;
-}
+/// Metric names of the cells in kPolicyCells.
+constexpr const char* kCellNames[] = {"nexus_throttled", "nexus_unthrottled",
+                                      "odroid_none", "odroid_default",
+                                      "odroid_proposed"};
+static_assert(std::size(kCellNames) == std::size(kPolicyCells));
 
 class Layers {
  public:
@@ -267,21 +246,31 @@ class Layers {
         overhead_ms.size(), "p50");
   }
 
-  // --- counters of the traced rounds ---------------------------------------
+  // --- counters of the timed phases ----------------------------------------
+  /// Heap growth per accepted submit, on the untraced rounds: their timed
+  /// phase grows no buffer of the benchmark's, so what grows is the
+  /// service's (its never-pruned job table).
+  void heap_per_submit(const std::vector<Round>& untraced) {
+    std::vector<double> bytes;
+    for (const Round& r : untraced) {
+      const double submits =
+          static_cast<double>(r.after.submitted - r.before.submitted);
+      if (submits > 0) {
+        bytes.push_back((static_cast<double>(r.heap_after) -
+                         static_cast<double>(r.heap_before)) /
+                        submits);
+      }
+    }
+    add("service.rss_bytes_per_submit", median(bytes), "bytes", bytes.size(),
+        "heap growth / accepted submits, p50 of untraced rounds");
+  }
+
   void round_counters(const std::vector<Round>& traced) {
-    std::vector<double> rss_per_submit, busy, depth;
+    std::vector<double> busy, depth;
     double hits = 0.0, lookups = 0.0, lane_hits = 0.0, lane_runs = 0.0,
            compares = 0.0;
     std::vector<double> per_shard;
     for (const Round& r : traced) {
-      const double submits =
-          static_cast<double>(r.after.submitted - r.before.submitted);
-      if (submits > 0) {
-        rss_per_submit.push_back(
-            (static_cast<double>(r.heap_after) -
-             static_cast<double>(r.heap_before)) /
-            submits);
-      }
       busy.insert(busy.end(), r.busy_frac.begin(), r.busy_frac.end());
       depth.insert(depth.end(), r.queue_depth.begin(), r.queue_depth.end());
       const double h = static_cast<double>(r.after.cache.hits -
@@ -310,8 +299,6 @@ class Layers {
         "ratio", per_shard.size(), "max/mean cache lookups per shard");
     add("result_cache.hit_ratio", lookups > 0 ? hits / lookups : 0.0,
         "ratio", static_cast<std::size_t>(lookups));
-    add("service.rss_bytes_per_submit", median(rss_per_submit), "bytes",
-        rss_per_submit.size(), "heap growth / accepted submits, p50 of rounds");
     add("service.worker_busy_frac", mean(busy), "ratio", busy.size(),
         "mean of sampled busy workers / workers");
     add("service.queue_depth_mean", mean(depth), "count", depth.size(),
@@ -329,9 +316,9 @@ class Layers {
     const service::ScenarioRegistry registry = make_registry(kPackDir);
     std::vector<double> allocs;
     std::vector<double> power_ns, alloc_ns;
-    for (std::size_t c = 0; c < std::size(kEngineCells); ++c) {
-      const EngineCell& cell = kEngineCells[c];
-      const SimRequest request = registry.resolve(cell_request(cell, 7));
+    for (std::size_t c = 0; c < std::size(kPolicyCells); ++c) {
+      const Cell& cell = kPolicyCells[c];
+      const SimRequest request = registry.resolve(make_request(cell, 1.0, 7));
       std::vector<double> make_us, run_us;
       for (int rep = 0; rep < 15; ++rep) {
         const std::int64_t t = now_ns();
@@ -349,11 +336,11 @@ class Layers {
         count_allocations(false);
         allocs.push_back(static_cast<double>(allocations() - a0));
       }
-      add(std::string("registry.make_engine_us.") + cell.name,
+      add(std::string("registry.make_engine_us.") + kCellNames[c],
           median(make_us), "us", make_us.size(), "p50");
       const double us_per_sim_s = median(run_us);
-      add(std::string("engine.us_per_sim_s.") + cell.name, us_per_sim_s, "us",
-          run_us.size(), "p50 of Engine::run(1.0)");
+      add(std::string("engine.us_per_sim_s.") + kCellNames[c], us_per_sim_s,
+          "us", run_us.size(), "p50 of Engine::run(1.0)");
       // One cell per board for the stage costs.
       if (c == 0 || c == 3) {
         stage_paths(*engine, cell.scenario, us_per_sim_s, &power_ns,
@@ -434,7 +421,8 @@ class Layers {
     constexpr double kLaneSimS = 2.0;
     const mobitherm::sim::EngineFactory factory =
         [&registry](std::size_t, std::uint64_t seed) {
-          return registry.make_engine(cell_request(kEngineCells[0], seed));
+          return registry.make_engine(
+              make_request(kPolicyCells[0], 1.0, seed));
         };
     const mobitherm::sim::BatchRunner scalar({1, 1});
     const mobitherm::sim::BatchRunner fused({1, 8});
@@ -456,13 +444,13 @@ class Layers {
 
   void tracing_overhead(const RoundSet& untraced, const RoundSet& traced) {
     add("trace.overhead.latency_p50_ms",
-        traced.latency_ms.percentile(50.0) -
-            untraced.latency_ms.percentile(50.0),
-        "ms", traced.ops, "traced minus untraced rounds");
+        traced.block_median(&Block::p50_ms) -
+            untraced.block_median(&Block::p50_ms),
+        "ms", traced.ops, "traced minus untraced block medians");
     add("trace.overhead.ops_per_s",
-        static_cast<double>(traced.ops) / traced.timed_s -
-            static_cast<double>(untraced.ops) / untraced.timed_s,
-        "1/s", traced.ops, "traced minus untraced rounds");
+        traced.block_median(&Block::ops_per_s) -
+            untraced.block_median(&Block::ops_per_s),
+        "1/s", traced.ops, "traced minus untraced block medians");
   }
 
  private:
@@ -485,6 +473,7 @@ void measure_layers(const RoundSet& untraced, RoundSet& traced,
   layers.replay_exec(*last.stack, last);
   last.stack.reset();
   layers.round_counters(traced.rounds);
+  layers.heap_per_submit(untraced.rounds);
   layers.engine_paths();
   layers.tracing_overhead(untraced, traced);
 }

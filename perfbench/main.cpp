@@ -124,34 +124,33 @@ std::string json_result(bool correct, std::size_t attempted,
   return out;
 }
 
-/// Tail percentile per workload: the highest with at least 10 samples
-/// beyond it in every run that also held within its bound across runs.
-double tail_percentile(const std::string& workload) {
-  return workload == "warm_zipf" ? 99.0
-         : workload == "cold_submit" ? 95.0
-                                     : 90.0;
-}
-
 std::vector<Metric> end_to_end(const std::string& workload,
                                const RoundSet& set) {
   std::vector<double> setup;
-  double sim_s = 0.0;
   for (const Round& r : set.rounds) {
     setup.push_back(r.setup_s);
-    sim_s += r.sim_s;
   }
   const std::size_t n = set.ops;
+  const std::size_t blocks = set.blocks.size();
   const double tail = tail_percentile(workload);
-  char tail_note[96];
-  std::snprintf(tail_note, sizeof(tail_note), "p%g, %.0f samples beyond",
-                tail, static_cast<double>(n) * (1.0 - tail / 100.0));
+  char block_note[64];
+  std::snprintf(block_note, sizeof(block_note), "median of %zu blocks",
+                blocks);
+  char tail_note[128];
+  std::snprintf(tail_note, sizeof(tail_note),
+                "p%g, %.0f samples beyond it per block; %s", tail,
+                static_cast<double>(n) * (1.0 - tail / 100.0) /
+                    static_cast<double>(blocks),
+                block_note);
   return {
       {"setup_s", median(setup), "s", setup.size(), "median of rounds"},
-      {"latency_p50_ms", set.latency_ms.percentile(50.0), "ms", n, "p50"},
-      {"latency_tail_ms", set.latency_ms.percentile(tail), "ms", n,
+      {"latency_p50_ms", set.block_median(&Block::p50_ms), "ms", n,
+       block_note},
+      {"latency_tail_ms", set.block_median(&Block::tail_ms), "ms", n,
        tail_note},
-      {"ops_per_s", static_cast<double>(n) / set.timed_s, "1/s", n, ""},
-      {"sim_s_per_s", sim_s / set.timed_s, "1/s", n,
+      {"ops_per_s", set.block_median(&Block::ops_per_s), "1/s", n,
+       block_note},
+      {"sim_s_per_s", set.block_median(&Block::sim_s_per_s), "1/s", n,
        workload == "warm_zipf" ? "served from the cache"
                                : "executed by the engine"},
       {"peak_rss_mb", peak_rss_mb(), "MiB", 1, "VmHWM"},

@@ -22,13 +22,6 @@ using mobitherm::util::fnv1a64_bytes;
 using mobitherm::util::splitmix64;
 using service::SimRequest;
 
-struct Cell {
-  const char* scenario;
-  const char* app;
-  const char* policy;
-  bool bml;
-};
-
 /// The cold request cycle: nexus x {throttled, unthrottled} x the 7 apps,
 /// then odroid x {none, default, proposed} x both apps, with BML.
 std::vector<Cell> request_cells() {
@@ -47,16 +40,6 @@ std::vector<Cell> request_cells() {
   return cells;
 }
 
-/// One request per scenario x policy cell: the warm-up of cold_submit and
-/// paper_sweep.
-constexpr Cell kWarmupCells[] = {
-    {"nexus", "paperio", "throttled", false},
-    {"nexus", "paperio", "unthrottled", false},
-    {"odroid", "threedmark", "none", true},
-    {"odroid", "threedmark", "default", true},
-    {"odroid", "threedmark", "proposed", true},
-};
-
 constexpr double kRequestSimS = 2.0;
 constexpr double kWarmupSimS = 4.0;
 /// Ten passes over the 20-cell cycle, so every round has the same mix.
@@ -73,18 +56,6 @@ constexpr int kCompareSeeds = 4;
 /// the layer replay.
 constexpr std::size_t kMaxRecordedLines = 4000;
 constexpr std::size_t kMaxColdSamples = 48;
-
-SimRequest make_request(const Cell& cell, double duration_s,
-                        std::uint64_t seed) {
-  SimRequest r;
-  r.scenario = cell.scenario;
-  r.app = cell.app;
-  r.policy = cell.policy;
-  r.with_bml = cell.bml;
-  r.duration_s = duration_s;
-  r.seed = seed;
-  return r;
-}
 
 json::Value request_fields(const SimRequest& r) {
   json::Value v = json::Value::object();
@@ -137,6 +108,8 @@ Op compare_op(std::uint64_t base_seed, int seeds) {
   Op op;
   op.line = v.dump();
   op.compare = true;
+  op.base_seed = base_seed;
+  op.seeds = seeds;
   return op;
 }
 
@@ -162,12 +135,9 @@ std::set<std::string> timed_keys(const Plan& plan,
       keys.insert(registry.canonical_key(lane));
     }
     if (op.compare) {
-      const json::Value v = json::Value::parse(op.line);
-      const auto base = static_cast<std::uint64_t>(v.find("base_seed")->as_number());
-      const int seeds = static_cast<int>(v.find("max_seeds")->as_number());
-      const mobitherm::util::SeedSchedule schedule(base);
+      const mobitherm::util::SeedSchedule schedule(op.base_seed);
       for (const char* policy : {"none", "default", "proposed"}) {
-        for (int i = 0; i < seeds; ++i) {
+        for (int i = 0; i < op.seeds; ++i) {
           keys.insert(registry.canonical_key(make_request(
               {"odroid", "threedmark", policy, true}, kRequestSimS,
               schedule.at(static_cast<std::uint64_t>(i)))));
@@ -180,6 +150,32 @@ std::set<std::string> timed_keys(const Plan& plan,
 
 }  // namespace
 
+SimRequest make_request(const Cell& cell, double duration_s,
+                        std::uint64_t seed) {
+  SimRequest r;
+  r.scenario = cell.scenario;
+  r.app = cell.app;
+  r.policy = cell.policy;
+  r.with_bml = cell.bml;
+  r.duration_s = duration_s;
+  r.seed = seed;
+  return r;
+}
+
+double tail_percentile(const std::string& workload) {
+  return workload == "warm_zipf" ? 99.0
+         : workload == "cold_submit" ? 95.0
+                                     : 90.0;
+}
+
+double RoundSet::block_median(double Block::*figure) const {
+  std::vector<double> values;
+  for (const Block& b : blocks) {
+    values.push_back(b.*figure);
+  }
+  return median(std::move(values));
+}
+
 Plan make_plan(const std::string& workload, std::uint64_t seed,
                const service::ScenarioRegistry& registry) {
   Plan plan;
@@ -191,9 +187,9 @@ Plan make_plan(const std::string& workload, std::uint64_t seed,
   if (workload == "cold_submit") {
     plan.shape = StackShape{1, 1, 16, 1024};
     // Timed seeds are base + 2k, warm-up seeds base + 2c + 1.
-    for (std::size_t c = 0; c < std::size(kWarmupCells); ++c) {
-      plan.setup.push_back(
-          submit_op(make_request(kWarmupCells[c], kWarmupSimS, base + 2 * c + 1)));
+    for (std::size_t c = 0; c < std::size(kPolicyCells); ++c) {
+      plan.setup.push_back(submit_op(
+          make_request(kPolicyCells[c], kWarmupSimS, base + 2 * c + 1)));
     }
     for (std::size_t k = 0; k < kColdOpsPerRound; ++k) {
       plan.ops.push_back(submit_op(
@@ -227,9 +223,9 @@ Plan make_plan(const std::string& workload, std::uint64_t seed,
     plan.window = 2;
     // Timed wide submits take lanes base + 16k .. + 7, warm-up requests
     // base + 16c + 8.
-    for (std::size_t c = 0; c < std::size(kWarmupCells); ++c) {
+    for (std::size_t c = 0; c < std::size(kPolicyCells); ++c) {
       plan.setup.push_back(submit_op(
-          make_request(kWarmupCells[c], kWarmupSimS, base + 16 * c + 8)));
+          make_request(kPolicyCells[c], kWarmupSimS, base + 16 * c + 8)));
     }
     std::vector<Cell> table1;
     for (const char* app :
@@ -313,6 +309,7 @@ class Runner {
     service::ShardedService& svc = round_.stack->service();
     round_.before = svc.stats();
     round_.shards_before = svc.shard_stats();
+    round_.latency_ms.reserve(plan_.ops.size() + plan_.hits.size());
     round_.heap_before = heap_in_use_bytes();
     const std::int64_t t1 = now_ns();
     if (plan_.workload == "cold_submit") {
@@ -678,8 +675,15 @@ RoundSet run_rounds(const std::string& workload, std::uint64_t seed,
                     std::size_t first_round, Tracer& tracer, double budget_s,
                     std::size_t min_rounds) {
   const service::ScenarioRegistry registry = make_registry(kPackDir);
+  const double tail = tail_percentile(workload);
+  const auto block_ops = static_cast<std::size_t>(
+      std::ceil(10.0 / (1.0 - tail / 100.0) - 1e-6));
   RoundSet set;
-  while (set.rounds.size() < min_rounds || set.timed_s < budget_s) {
+  LatencyHistogram block_latency;
+  double block_s = 0.0;
+  double block_sim_s = 0.0;
+  while (set.rounds.size() < min_rounds || set.timed_s < budget_s ||
+         block_latency.count() > 0) {
     if (!set.rounds.empty()) {
       Round& prev = set.rounds.back();
       prev.stack.reset();
@@ -703,12 +707,23 @@ RoundSet run_rounds(const std::string& workload, std::uint64_t seed,
     round.plan = std::move(plan);
     Runner(*round.plan, tracer, round).run();
     for (double ms : round.latency_ms) {
-      set.latency_ms.add(ms);
+      block_latency.add(ms);
     }
     round.completed = round.latency_ms.size();
     round.latency_ms = std::vector<double>();
     set.timed_s += round.timed_s;
     set.ops += round.completed;
+    block_s += round.timed_s;
+    block_sim_s += round.sim_s;
+    if (block_latency.count() >= block_ops) {
+      const double ops = static_cast<double>(block_latency.count());
+      set.blocks.push_back({block_latency.percentile(50.0),
+                            block_latency.percentile(tail), ops / block_s,
+                            block_sim_s / block_s});
+      block_latency = LatencyHistogram();
+      block_s = 0.0;
+      block_sim_s = 0.0;
+    }
   }
   return set;
 }

@@ -13,6 +13,28 @@
 
 namespace perfbench {
 
+/// A scenario x app x policy cell of the request streams.
+struct Cell {
+  const char* scenario;
+  const char* app;
+  const char* policy;
+  bool bml;
+};
+
+/// One cell per scenario x policy: the warm-up of cold_submit and
+/// paper_sweep, and the cells the traced run measures engine by engine.
+inline constexpr Cell kPolicyCells[] = {
+    {"nexus", "paperio", "throttled", false},
+    {"nexus", "paperio", "unthrottled", false},
+    {"odroid", "threedmark", "none", true},
+    {"odroid", "threedmark", "default", true},
+    {"odroid", "threedmark", "proposed", true},
+};
+
+/// The plain request of `cell` for `duration_s` simulated seconds.
+service::SimRequest make_request(const Cell& cell, double duration_s,
+                                 std::uint64_t seed);
+
 /// One timed operation as the client issues it.
 struct Op {
   std::string line;  // the submit or compare request line
@@ -23,6 +45,9 @@ struct Op {
   /// Compare ops: index of the earlier identical op whose verdict this one
   /// must reproduce from the cache, byte for byte; -1 for a first run.
   int repeat_of = -1;
+  /// Compare ops: the seed schedule's base and the seeds run per arm.
+  std::uint64_t base_seed = 0;
+  int seeds = 0;
 };
 
 struct Plan {
@@ -77,8 +102,8 @@ struct Round {
   std::unique_ptr<Stack> stack;
   double setup_s = 0.0;
   double timed_s = 0.0;
-  /// Op latencies; run_rounds() folds them into the set's histogram and
-  /// frees them when the round ends.
+  /// Op latencies, reserved before the timed phase; run_rounds() folds
+  /// them into the open block and frees them when the round ends.
   std::vector<double> latency_ms;
   std::size_t completed = 0;  // ops timed
   std::size_t attempted = 0;
@@ -95,6 +120,8 @@ struct Round {
   service::ServiceStats after;
   std::vector<service::ServiceStats> shards_before;
   std::vector<service::ServiceStats> shards_after;
+  /// Heap in use around the timed phase. On an untraced round the growth
+  /// is the service's own: the benchmark's buffers are reserved before.
   std::size_t heap_before = 0;
   std::size_t heap_after = 0;
 
@@ -106,30 +133,49 @@ struct Round {
   std::vector<double> queue_depth;  // sampled queued
 };
 
-/// Rounds of one kind (untraced or traced) and their pooled latencies.
+/// The tail percentile of `workload`'s latency_tail_ms: the highest that
+/// keeps at least 10 samples beyond it in a block and held steady across
+/// runs.
+double tail_percentile(const std::string& workload);
+
+/// Consecutive rounds pooled until they hold enough ops for the tail
+/// percentile to have at least 10 samples beyond it. The end-to-end
+/// figures are medians over a run's blocks, so a stall of the host that
+/// slows one block moves the median little.
+struct Block {
+  double p50_ms = 0.0;
+  double tail_ms = 0.0;
+  double ops_per_s = 0.0;
+  double sim_s_per_s = 0.0;
+};
+
+/// Rounds of one kind (untraced or traced) and their blocks.
 struct RoundSet {
   std::vector<Round> rounds;
-  LatencyHistogram latency_ms;
+  std::vector<Block> blocks;
   double timed_s = 0.0;
   std::size_t ops = 0;
   /// Set-up keys equal to a timed key, over every round's plan (must be 0).
   std::size_t setup_collisions = 0;
+
+  /// Median over the blocks of one of their figures.
+  double block_median(double Block::*figure) const;
 };
 
 /// Workload packs the registry loads on set-up, relative to the checkout.
 inline constexpr const char* kPackDir = "examples/packs";
 
-/// Rounds until `budget_s` of timed work and at least `min_rounds`,
-/// numbered from `first_round`. Round r runs make_plan(workload,
-/// splitmix64(seed + r)): every round is a different stream from the same
-/// seed, so the seed-specific structure of one stream (how its keys hash
-/// across shards) averages out over a run. Each round does its set-up
-/// (registry and pack load, a fresh stack, connections, the set-up
-/// requests) and then its timed phase. One stack is up at a time and the
-/// last round's stays up for the layer replay. Between rounds the freed
-/// heap goes back to the system (malloc_trim), so the peak resident set
-/// reflects one round, not how many rounds a run made. A traced set keeps
-/// only the last round's spans.
+/// Rounds until `budget_s` of timed work, at least `min_rounds`, and the
+/// last block complete, numbered from `first_round`. Round r runs
+/// make_plan(workload, splitmix64(seed + r)): every round is a different
+/// stream from the same seed, so the seed-specific structure of one
+/// stream (how its keys hash across shards) averages out over a run. Each
+/// round does its set-up (registry and pack load, a fresh stack,
+/// connections, the set-up requests) and then its timed phase. One stack
+/// is up at a time and the last round's stays up for the layer replay.
+/// Between rounds the freed heap goes back to the system (malloc_trim), so
+/// the peak resident set reflects one round, not how many rounds a run
+/// made. A traced set keeps only the last round's spans.
 RoundSet run_rounds(const std::string& workload, std::uint64_t seed,
                     std::size_t first_round, Tracer& tracer, double budget_s,
                     std::size_t min_rounds);
