@@ -2,9 +2,9 @@
 
 #include <utility>
 
-#include "service/json.h"
 #include "service/scenario_registry.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace mobitherm::service {
 

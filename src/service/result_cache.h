@@ -33,12 +33,16 @@
 #include "sim/metrics.h"
 #include "sim/report.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/sync.h"
 
 namespace mobitherm::service {
 
+/// Service code addresses the JSON value type (util/json.h) as `json::`.
+namespace json = ::mobitherm::util::json;
+
 /// A completed run: its summaries plus the canonical serialized payload
-/// (service/json.h) that the NDJSON `result` op embeds verbatim.
+/// (util/json.h) that the NDJSON `result` op embeds verbatim.
 struct JobResult {
   sim::RunMetrics metrics;
   sim::RunReport report;

@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "power/model_registry.h"
-#include "service/json.h"
 #include "sim/experiment.h"
 #include "stability/model_analysis.h"
 #include "stability/presets.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/units.h"
 #include "workload/presets.h"
 
@@ -242,11 +242,11 @@ std::string ScenarioRegistry::canonical_key(const SimRequest& request) const {
   key += ";levels=";
   key += std::to_string(r.app_levels);
   key += ";phase_s=";
-  key += json::format_number(r.app_phase_s);
+  key += util::json::format_number(r.app_phase_s);
   key += ";duration_s=";
-  key += json::format_number(r.duration_s);
+  key += util::json::format_number(r.duration_s);
   key += ";initial_temp_c=";
-  key += json::format_number(r.initial_temp_c);
+  key += util::json::format_number(r.initial_temp_c);
   key += ";seed=";
   key += std::to_string(r.seed);
   return key;

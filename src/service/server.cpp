@@ -227,7 +227,7 @@ std::string SimServer::handle_submit(const json::Value& request) {
   read_number(request, "deadline_s", &deadline_s);
 
   // Wide submit: "seeds": N fans the request over seeds seed..seed+N-1 in
-  // one admission; cache-missing lanes run on the lockstep path.
+  // one admission; each cache-missing lane runs as its own job.
   double seeds = 0.0;
   if (read_number(request, "seeds", &seeds)) {
     if (seeds < 1 || seeds != std::floor(seeds)) {
@@ -469,10 +469,6 @@ std::string SimServer::handle_stats() {
   out.set("retry_backlog",
           json::Value::number(static_cast<double>(s.retry_backlog)));
   out.set("running", json::Value::number(static_cast<double>(s.running)));
-  out.set("wide_jobs",
-          json::Value::number(static_cast<double>(s.wide_jobs)));
-  out.set("lockstep_lanes",
-          json::Value::number(static_cast<double>(s.lockstep_lanes)));
   out.set("compares", json::Value::number(static_cast<double>(s.compares)));
   out.set("compare_rounds",
           json::Value::number(static_cast<double>(s.compare_rounds)));
@@ -482,8 +478,6 @@ std::string SimServer::handle_stats() {
           json::Value::number(static_cast<double>(s.compare_lane_hits)));
   out.set("compare_early_stops",
           json::Value::number(static_cast<double>(s.compare_early_stops)));
-  out.set("batch_width",
-          json::Value::number(static_cast<double>(s.batch_width)));
   out.set("workers", json::Value::number(static_cast<double>(s.workers)));
   out.set("queue_capacity",
           json::Value::number(static_cast<double>(s.queue_capacity)));
@@ -507,7 +501,7 @@ std::string SimServer::handle_stats() {
   out.set("cache", cache);
   // Per-shard breakdown (a single pool reports itself as shard 0), so a
   // saturated shard is diagnosable even when the fleet rollup looks
-  // healthy: queue depth, retry backlog and wide-job lane counts are the
+  // healthy: queue depth, retry backlog and running jobs are the
   // per-shard saturation signals, cache hits/misses the per-shard load.
   json::Value shards = json::Value::array();
   const std::vector<ServiceStats> per_shard = service_.shard_stats();
@@ -520,10 +514,6 @@ std::string SimServer::handle_stats() {
               json::Value::number(static_cast<double>(sh.retry_backlog)));
     entry.set("running",
               json::Value::number(static_cast<double>(sh.running)));
-    entry.set("wide_jobs",
-              json::Value::number(static_cast<double>(sh.wide_jobs)));
-    entry.set("lockstep_lanes",
-              json::Value::number(static_cast<double>(sh.lockstep_lanes)));
     entry.set("compares",
               json::Value::number(static_cast<double>(sh.compares)));
     entry.set("compare_rounds",

@@ -27,17 +27,10 @@ struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
 
-  /// Lanes per lockstep group in run(): runs are partitioned into
-  /// contiguous index groups of this width and each group executes on one
-  /// worker as a LockstepRunner (the thermal steps fuse when the lanes
-  /// share a propagator; see sim/lockstep.h). 0 = auto (currently 8);
-  /// 1 = the plain scalar path. Per-run results are bit-identical at any
-  /// width — this only trades wall-clock for memory.
+  /// Inert: BatchRunner reads nothing from it. Kept only so existing
+  /// positional initializers of the form {threads, width} still compile.
   unsigned lockstep_width = 0;
 };
-
-/// The lane width BatchOptions::lockstep_width == 0 resolves to.
-inline constexpr unsigned kDefaultLockstepWidth = 8;
 
 /// Invoke `fn(0) .. fn(n-1)` across `threads` workers and block until all
 /// complete. Indices are claimed from an atomic counter, so no two workers
@@ -54,8 +47,7 @@ struct BatchRecord {
   std::uint64_t seed = 0;
   RunMetrics metrics;
   RunReport report;
-  /// Wall-clock seconds this run took on its worker. Runs that executed in
-  /// the same lockstep group share the group's elapsed time.
+  /// Wall-clock seconds this run took on its worker.
   double wall_s = 0.0;
   /// False when the batch's stop token fired before or during this run:
   /// the metrics/report then summarize a partial (or empty) run.
@@ -97,7 +89,6 @@ class BatchRunner {
       std::uint64_t base_seed) const;
 
   unsigned resolved_threads() const;
-  unsigned resolved_lockstep_width() const;
 
  private:
   BatchOptions options_;

@@ -108,8 +108,7 @@ SeedStats across_seeds(const std::function<double(std::uint64_t)>& metric,
                        unsigned threads = 1);
 
 /// Factory-based variant: builds one engine per seed via `factory` (see
-/// sim/batch.h), runs each for `duration_s` through BatchRunner::run — so
-/// same-platform seed fans execute on the lockstep multi-lane path — and
+/// sim/batch.h), runs each for `duration_s` through BatchRunner::run and
 /// summarizes `metric(record)` over the per-seed records. Bit-identical to
 /// evaluating the seeds one at a time.
 SeedStats across_seeds(const EngineFactory& factory, double duration_s,

@@ -223,53 +223,6 @@ void ThermalNetwork::step_exact(const Vector& power_w, double dt) {
   }
 }
 
-void ThermalNetwork::ensure_exact_prepared(util::Seconds dt) {
-  if (method_ != StepMethod::kExact) {
-    throw ConfigError(
-        "ThermalNetwork: exact propagator requires StepMethod::kExact");
-  }
-  if (dt <= util::seconds(0.0)) {
-    throw ConfigError("ThermalNetwork: step size must be positive");
-  }
-  prepare_exact(dt.value());
-}
-
-void ThermalNetwork::step_block(const Matrix& power_w, Matrix& temps,
-                                util::Seconds dt) {
-  if (method_ != StepMethod::kExact) {
-    throw ConfigError(
-        "ThermalNetwork: step_block requires StepMethod::kExact");
-  }
-  const std::size_t n = spec_.nodes.size();
-  if (power_w.rows() != n || temps.rows() != n ||
-      power_w.cols() != temps.cols()) {
-    throw ConfigError("ThermalNetwork: lane block shape mismatch");
-  }
-  if (dt <= util::seconds(0.0)) {
-    return;
-  }
-  step_block_exact(power_w, temps, dt.value());
-}
-
-// Warm path is allocation-free at a fixed lane count; the block scratch
-// rebuilds only when K changes (cold by design). Column k performs the
-// step_exact operation sequence verbatim, so lanes stepped here are
-// bit-identical to lanes stepped one network at a time.
-// MOBILINT: hot-path
-void ThermalNetwork::step_block_exact(const Matrix& power_w, Matrix& temps,
-                                      double dt) {
-  prepare_exact(dt);
-  if (scratch_bp_.rows() != power_w.rows() ||
-      scratch_bp_.cols() != power_w.cols()) {
-    // K changed; MOBILINT: alloc-ok
-    scratch_bp_ = Matrix(power_w.rows(), power_w.cols());
-  }
-  linalg::axpy_broadcast_into(1.0, amb_inject_, power_w, scratch_bp_);
-  linalg::gemm_into(phi_, temps, scratch_ba_);
-  linalg::gemm_into(psi_, scratch_bp_, scratch_bb_);
-  linalg::add_block_into(scratch_ba_, scratch_bb_, temps);
-}
-
 const Matrix& ThermalNetwork::exact_phi() const {
   if (cached_dt_ < 0.0) {
     throw util::NumericError("ThermalNetwork: exact stepper not prepared");

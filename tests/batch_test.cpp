@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -58,6 +59,36 @@ TEST(AcrossSeeds, SerialAndParallelAreBitIdentical) {
   EXPECT_EQ(serial.stddev, parallel.stddev);
   EXPECT_EQ(serial.min, parallel.min);
   EXPECT_EQ(serial.max, parallel.max);
+}
+
+TEST(AcrossSeeds, FactoryOverloadMatchesPerSeedEngineRuns) {
+  const EngineFactory factory = [](std::size_t, std::uint64_t seed) {
+    NexusRun run;
+    run.app = workload::paperio();
+    run.seed = seed;
+    return make_nexus_engine(run);
+  };
+  BatchOptions opts;
+  opts.threads = 4;
+  const SeedStats batched = across_seeds(
+      factory, 2.0,
+      [](const BatchRecord& record) { return record.metrics.median_fps[0]; },
+      4, 81, opts);
+  // Reference: each seed's engine run alone on this thread.
+  const SeedStats serial = across_seeds(
+      [&factory](std::uint64_t seed) {
+        std::unique_ptr<Engine> engine = factory(0, seed);
+        MetricsObserver tap(MetricsOptions{});
+        engine->add_observer(&tap);
+        engine->run(2.0);
+        return tap.metrics(*engine).median_fps[0];
+      },
+      4, 81, 1);
+  EXPECT_EQ(batched.n, 4);
+  EXPECT_EQ(batched.mean, serial.mean);
+  EXPECT_EQ(batched.stddev, serial.stddev);
+  EXPECT_EQ(batched.min, serial.min);
+  EXPECT_EQ(batched.max, serial.max);
 }
 
 TEST(BatchRunner, SweepMatchesManualSerialLoop) {

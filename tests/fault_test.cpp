@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "platform/soc.h"
-#include "service/json.h"
 #include "service/result_cache.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
@@ -38,6 +37,7 @@
 #include "thermal/network.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "workload/app.h"

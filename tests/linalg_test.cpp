@@ -198,6 +198,43 @@ TEST(Cholesky, IsSpdAcceptsSpd) {
 
 // --- Jacobi ----------------------------------------------------------------------
 
+TEST(Cholesky, MultiRhsSolveBitwiseMatchesVectorSolve) {
+  // SPD conductance-style matrix (diagonally dominant Laplacian + ground).
+  const std::size_t n = 6;
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = 2.5 + 0.1 * static_cast<double>(i);
+    if (i + 1 < n) {
+      a(i, i + 1) = -1.0;
+      a(i + 1, i) = -1.0;
+    }
+  }
+  const Cholesky chol(a);
+  const std::size_t k = 4;
+  Matrix b(n, k);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      b(i, c) = 0.3 + 1.7 * static_cast<double>(i) -
+                0.911 * static_cast<double>(c * c);
+    }
+  }
+  Matrix x;
+  chol.solve_into(b, x);
+  ASSERT_EQ(x.rows(), n);
+  ASSERT_EQ(x.cols(), k);
+  for (std::size_t c = 0; c < k; ++c) {
+    Vector bc(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bc[i] = b(i, c);
+    }
+    Vector xc;
+    chol.solve_into(bc, xc);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(x(i, c), xc[i]) << "row " << i << " col " << c;
+    }
+  }
+}
+
 TEST(Jacobi, DiagonalMatrixEigenvalues) {
   const Matrix d = Matrix::diagonal({3.0, 1.0, 2.0});
   const EigenDecomposition e = jacobi_eigen(d);

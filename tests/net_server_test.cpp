@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.h"
 #include "service/net_server.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
@@ -26,6 +25,7 @@
 #include "service/shard.h"
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace mobitherm::service {
 namespace {
@@ -190,8 +190,6 @@ TEST(ShardedService, PerShardStatsSumToFleetRollup) {
     sum.queued += s.queued;
     sum.retry_backlog += s.retry_backlog;
     sum.running += s.running;
-    sum.wide_jobs += s.wide_jobs;
-    sum.lockstep_lanes += s.lockstep_lanes;
     sum.workers += s.workers;
     sum.queue_capacity += s.queue_capacity;
     sum.cache.hits += s.cache.hits;
@@ -204,8 +202,6 @@ TEST(ShardedService, PerShardStatsSumToFleetRollup) {
   EXPECT_EQ(total.rejected, sum.rejected);
   EXPECT_EQ(total.queued, sum.queued);
   EXPECT_EQ(total.retry_backlog, sum.retry_backlog);
-  EXPECT_EQ(total.wide_jobs, sum.wide_jobs);
-  EXPECT_EQ(total.lockstep_lanes, sum.lockstep_lanes);
   EXPECT_EQ(total.workers, sum.workers);
   EXPECT_EQ(total.queue_capacity, sum.queue_capacity);
   EXPECT_EQ(total.cache.hits, 4u);
@@ -422,8 +418,7 @@ TEST(NetServer, StatsOpReportsPerShardDepths) {
     EXPECT_EQ(s.find("shard")->as_number(), static_cast<double>(i));
     ASSERT_NE(s.find("queued"), nullptr);
     ASSERT_NE(s.find("retry_backlog"), nullptr);
-    ASSERT_NE(s.find("wide_jobs"), nullptr);
-    ASSERT_NE(s.find("lockstep_lanes"), nullptr);
+    ASSERT_NE(s.find("running"), nullptr);
   }
   EXPECT_NE(stats.find("retry_backlog"), nullptr);
 }

@@ -1,7 +1,7 @@
 // Service-layer tests: JSON round trips, scenario-registry resolution and
 // canonical keys, LRU result-cache behavior, job-queue admission control
-// (backpressure, deadlines, cancellation), the NDJSON protocol, and a
-// concurrent stress run for TSan. Plus the regression tests this PR pins:
+// (backpressure, deadlines, cancellation), wide multi-seed jobs, the
+// NDJSON protocol, and a concurrent stress run for TSan. Plus the regression tests this PR pins:
 // Scenario::fired() resets between runs, and the cooperative stop token
 // threads through Engine::run and BatchRunner.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.h"
 #include "service/result_cache.h"
 #include "service/scenario_registry.h"
 #include "service/server.h"
@@ -23,6 +22,7 @@
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "workload/presets.h"
 
 namespace mobitherm::service {
@@ -447,6 +447,190 @@ TEST(SimService, ConcurrentSubmitPollCancelIsRaceFree) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
+}
+
+// --- wide jobs -------------------------------------------------------------
+
+TEST(ServiceWide, SubmitManyPayloadsByteIdenticalToScalarSubmits) {
+  // Scalar reference service: every seed its own plain submit.
+  ServiceConfig config;
+  config.workers = 2;
+  SimService scalar_service(ScenarioRegistry::standard(), config);
+  SimService wide_service(ScenarioRegistry::standard(), config);
+
+  const SimRequest request = short_request(301, 2.5);  // three slices
+  const std::size_t seeds = 3;
+
+  std::vector<std::uint64_t> scalar_ids;
+  for (std::size_t k = 0; k < seeds; ++k) {
+    SimRequest lane = request;
+    lane.seed = request.seed + k;
+    const SubmitOutcome out = scalar_service.submit(lane);
+    ASSERT_TRUE(out.accepted);
+    scalar_ids.push_back(out.id);
+  }
+
+  const std::vector<SubmitOutcome> outcomes =
+      wide_service.submit_many(request, seeds);
+  ASSERT_EQ(outcomes.size(), seeds);
+  for (const auto& out : outcomes) {
+    ASSERT_TRUE(out.accepted) << out.reject_reason;
+    EXPECT_FALSE(out.cached);
+  }
+
+  for (std::size_t k = 0; k < seeds; ++k) {
+    ASSERT_TRUE(scalar_service.wait(scalar_ids[k], 60.0));
+    ASSERT_TRUE(wide_service.wait(outcomes[k].id, 60.0));
+    const auto scalar_result = scalar_service.result(scalar_ids[k]);
+    const auto wide_result = wide_service.result(outcomes[k].id);
+    ASSERT_NE(scalar_result, nullptr);
+    ASSERT_NE(wide_result, nullptr);
+    EXPECT_EQ(wide_result->payload, scalar_result->payload) << "lane " << k;
+    const auto status = wide_service.status(outcomes[k].id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, JobState::kDone);
+    // Same canonical key as the scalar submit of the same seed.
+    const auto scalar_status = scalar_service.status(scalar_ids[k]);
+    ASSERT_TRUE(scalar_status.has_value());
+    EXPECT_EQ(status->canonical, scalar_status->canonical);
+  }
+  EXPECT_EQ(wide_service.stats().completed, seeds);
+
+  // A second wide submit of the same fan is served entirely from cache.
+  const std::size_t misses = wide_service.stats().cache.misses;
+  const std::vector<SubmitOutcome> again =
+      wide_service.submit_many(request, seeds);
+  ASSERT_EQ(again.size(), seeds);
+  for (std::size_t k = 0; k < seeds; ++k) {
+    ASSERT_TRUE(again[k].accepted);
+    EXPECT_TRUE(again[k].cached);
+    const auto cached = wide_service.result(again[k].id);
+    ASSERT_NE(cached, nullptr);
+    const auto first = wide_service.result(outcomes[k].id);
+    EXPECT_EQ(cached->payload, first->payload);
+  }
+  EXPECT_EQ(wide_service.stats().cache.misses, misses);  // nothing re-ran
+}
+
+TEST(ServiceWide, PartialCacheHitRunsOnlyMissingLanes) {
+  ServiceConfig config;
+  config.workers = 1;
+  SimService svc(ScenarioRegistry::standard(), config);
+
+  const SimRequest request = short_request(401, 2.5);
+  // Pre-warm the cache with the middle seed via a scalar submit.
+  const SubmitOutcome pre = svc.submit(short_request(402, 2.5));
+  ASSERT_TRUE(pre.accepted);
+  ASSERT_TRUE(svc.wait(pre.id, 60.0));
+
+  const std::vector<SubmitOutcome> outcomes = svc.submit_many(request, 3);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_FALSE(outcomes[0].cached);
+  EXPECT_TRUE(outcomes[1].cached);  // the pre-warmed seed
+  EXPECT_FALSE(outcomes[2].cached);
+  for (const auto& out : outcomes) {
+    ASSERT_TRUE(out.accepted);
+    ASSERT_TRUE(svc.wait(out.id, 60.0));
+    EXPECT_NE(svc.result(out.id), nullptr);
+  }
+  // The cached lane never executed; the missing lanes ran once each.
+  EXPECT_EQ(svc.status(outcomes[0].id)->attempts, 1);
+  EXPECT_EQ(svc.status(outcomes[1].id)->attempts, 0);
+  EXPECT_EQ(svc.status(outcomes[2].id)->attempts, 1);
+  // The cache-hit lane's payload equals the scalar run it was served from.
+  EXPECT_EQ(svc.result(outcomes[1].id)->payload, svc.result(pre.id)->payload);
+}
+
+TEST(ServiceWide, SingleSeedSubmitManyBehavesLikeSubmit) {
+  ServiceConfig config;
+  config.workers = 1;
+  SimService svc(ScenarioRegistry::standard(), config);
+  const SimRequest request = short_request(501, 1.0);
+  const std::vector<SubmitOutcome> outcomes = svc.submit_many(request, 1);
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].accepted);
+  ASSERT_TRUE(svc.wait(outcomes[0].id, 60.0));
+  const auto lane = svc.result(outcomes[0].id);
+  ASSERT_NE(lane, nullptr);
+  // A plain submit of the same request is a cache hit on the lane's run.
+  const SubmitOutcome plain = svc.submit(request);
+  ASSERT_TRUE(plain.accepted);
+  EXPECT_TRUE(plain.cached);
+  EXPECT_EQ(svc.result(plain.id)->payload, lane->payload);
+
+  EXPECT_THROW(svc.submit_many(request, 0), ConfigError);
+}
+
+TEST(ServiceWide, LanesBeyondFreeQueueSlotsRejectOrServeStale) {
+  // Scalar references for the lanes that will be admitted.
+  SimService reference(ScenarioRegistry::standard(), small_config());
+  std::vector<std::string> expected;
+  for (std::uint64_t seed : {11u, 12u}) {
+    const SubmitOutcome out = reference.submit(short_request(seed));
+    ASSERT_TRUE(out.accepted);
+    ASSERT_TRUE(reference.wait(out.id, 60.0));
+    expected.push_back(reference.result(out.id)->payload);
+  }
+
+  ServiceConfig cfg = small_config(/*workers=*/1, /*queue_capacity=*/2);
+  cfg.cache_capacity = 1;
+  cfg.serve_stale = true;
+  SimService service(ScenarioRegistry::standard(), cfg);
+  // Seed 13 runs, then seed 99 evicts it into the stale store.
+  for (std::uint64_t seed : {13u, 99u}) {
+    const SubmitOutcome out = service.submit(short_request(seed));
+    ASSERT_TRUE(out.accepted);
+    ASSERT_TRUE(service.wait(out.id, 60.0));
+  }
+  // Occupy the only worker so the queue's two free slots are all the
+  // room the fan gets.
+  const SubmitOutcome blocker = service.submit(long_request(1));
+  ASSERT_TRUE(blocker.accepted);
+  wait_until_running(service, blocker.id);
+  const ServiceStats before = service.stats();
+
+  // Four cache-missing lanes (seeds 11..14) against two free slots.
+  const std::vector<SubmitOutcome> lanes =
+      service.submit_many(short_request(11), 4);
+  ASSERT_EQ(lanes.size(), 4u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(lanes[k].accepted) << lanes[k].reject_reason;
+    EXPECT_FALSE(lanes[k].cached);
+  }
+  // Seed 13 overflows but has a stale copy: served degraded.
+  ASSERT_TRUE(lanes[2].accepted);
+  EXPECT_TRUE(lanes[2].cached);
+  EXPECT_TRUE(lanes[2].stale);
+  // Seed 14 overflows with nothing to fall back on: typed rejection.
+  EXPECT_FALSE(lanes[3].accepted);
+  EXPECT_EQ(lanes[3].reject_code, errc::kQueueFull);
+  const ServiceStats admitted = service.stats();
+  EXPECT_EQ(admitted.queued, 2u);
+  EXPECT_EQ(admitted.rejected, before.rejected + 1);
+  EXPECT_EQ(admitted.stale_served, before.stale_served + 1);
+
+  ASSERT_TRUE(service.cancel(blocker.id));
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(service.wait(lanes[k].id, 60.0));
+    const auto status = service.status(lanes[k].id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, JobState::kDone);
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(service.result(lanes[k].id)->payload, expected[k])
+        << "lane " << k;
+  }
+  // No slot leaked: the queue drained and the full capacity is free again.
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.queued, 0u);
+  EXPECT_EQ(after.running, 0u);
+  const std::vector<SubmitOutcome> refill =
+      service.submit_many(short_request(21), 2);
+  for (const SubmitOutcome& out : refill) {
+    ASSERT_TRUE(out.accepted) << out.reject_reason;
+    EXPECT_FALSE(out.cached);
+    ASSERT_TRUE(service.wait(out.id, 60.0));
+  }
 }
 
 // --- NDJSON server ---------------------------------------------------------
