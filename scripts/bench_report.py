@@ -51,13 +51,33 @@ COUNTER_KEYS = ("req_per_s", "p50_us", "p95_us", "p99_us", "hit_rate")
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
+# Every binary runs each benchmark this many times and a row is scored by
+# the median repetition: one slow repetition on a shared host can no
+# longer move a row past the --check tolerance on its own.
+REPETITIONS = 3
+
 
 def normalize_raw(raw, label):
-    """Convert raw google-benchmark JSON into the BENCH schema."""
-    benchmarks = {}
+    """Convert raw google-benchmark JSON into the BENCH schema.
+
+    Rows are keyed by run_name. A repeated run is scored by its "median"
+    aggregate; a single run (no aggregates) by its one iteration entry. An
+    error in any repetition marks the row as errored.
+    """
+    rows = {}
+    errors = {}
     for b in raw.get("benchmarks", []):
+        run_name = b.get("run_name", b["name"])
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                rows[run_name] = b
             continue
+        if b.get("error_occurred"):
+            errors.setdefault(run_name,
+                              b.get("error_message", "benchmark error"))
+        rows.setdefault(run_name, b)
+    benchmarks = {}
+    for run_name, b in rows.items():
         entry = {
             "real_time_ns": round(
                 b["real_time"] * TIME_UNIT_NS[b.get("time_unit", "ns")], 3
@@ -68,9 +88,9 @@ def normalize_raw(raw, label):
         for key in COUNTER_KEYS:
             if key in b:
                 entry[key] = round(b[key], 4)
-        if "error_occurred" in b and b["error_occurred"]:
-            entry["error"] = b.get("error_message", "benchmark error")
-        benchmarks[b["name"]] = entry
+        if run_name in errors:
+            entry["error"] = errors[run_name]
+        benchmarks[run_name] = entry
     return {
         "schema": 1,
         "label": label,
@@ -97,6 +117,8 @@ def run_suite(build_dir, binaries, min_time, label):
         cmd = [
             path,
             f"--benchmark_min_time={min_time}",
+            f"--benchmark_repetitions={REPETITIONS}",
+            "--benchmark_display_aggregates_only=true",
             "--benchmark_format=console",
             f"--benchmark_out={out_path}",
             "--benchmark_out_format=json",

@@ -24,6 +24,22 @@ json::Value error_object(const std::string& code,
   return err;
 }
 
+// The admission fields every submit-like response carries: the job id and
+// cache flags when accepted, the typed error when rejected. One helper
+// keeps submit, each wide-submit lane and compare byte-for-byte alike.
+void set_outcome_fields(json::Value& out, const SubmitOutcome& outcome) {
+  if (outcome.accepted) {
+    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
+    out.set("cached", json::Value::boolean(outcome.cached));
+    out.set("stale", json::Value::boolean(outcome.stale));
+  } else {
+    out.set("error", error_object(outcome.reject_code.empty()
+                                      ? errc::kInternal
+                                      : outcome.reject_code,
+                                  outcome.reject_reason));
+  }
+}
+
 std::string error_response(const std::string& op, const std::string& code,
                            const std::string& message) {
   json::Value out = json::Value::object();
@@ -244,16 +260,7 @@ std::string SimServer::handle_submit(const json::Value& request) {
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(outcome.accepted));
   out.set("op", json::Value::string("submit"));
-  if (outcome.accepted) {
-    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
-    out.set("cached", json::Value::boolean(outcome.cached));
-    out.set("stale", json::Value::boolean(outcome.stale));
-  } else {
-    out.set("error", error_object(outcome.reject_code.empty()
-                                      ? errc::kInternal
-                                      : outcome.reject_code,
-                                  outcome.reject_reason));
-  }
+  set_outcome_fields(out, outcome);
   return out.dump();
 }
 
@@ -269,17 +276,8 @@ std::string SimServer::handle_submit_many(const SimRequest& request,
   for (const SubmitOutcome& outcome : outcomes) {
     json::Value lane = json::Value::object();
     lane.set("accepted", json::Value::boolean(outcome.accepted));
-    if (outcome.accepted) {
-      lane.set("job", json::Value::number(static_cast<double>(outcome.id)));
-      lane.set("cached", json::Value::boolean(outcome.cached));
-      lane.set("stale", json::Value::boolean(outcome.stale));
-    } else {
-      all_accepted = false;
-      lane.set("error", error_object(outcome.reject_code.empty()
-                                         ? errc::kInternal
-                                         : outcome.reject_code,
-                                     outcome.reject_reason));
-    }
+    set_outcome_fields(lane, outcome);
+    all_accepted = all_accepted && outcome.accepted;
     jobs.push(lane);
   }
   json::Value out = json::Value::object();
@@ -339,16 +337,7 @@ std::string SimServer::handle_compare(const json::Value& request) {
   json::Value out = json::Value::object();
   out.set("ok", json::Value::boolean(outcome.accepted));
   out.set("op", json::Value::string("compare"));
-  if (outcome.accepted) {
-    out.set("job", json::Value::number(static_cast<double>(outcome.id)));
-    out.set("cached", json::Value::boolean(outcome.cached));
-    out.set("stale", json::Value::boolean(outcome.stale));
-  } else {
-    out.set("error", error_object(outcome.reject_code.empty()
-                                      ? errc::kInternal
-                                      : outcome.reject_code,
-                                  outcome.reject_reason));
-  }
+  set_outcome_fields(out, outcome);
   return out.dump();
 }
 

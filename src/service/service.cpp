@@ -142,15 +142,19 @@ SubmitOutcome SimService::submit(const SimRequest& request,
 SubmitOutcome SimService::submit_prepared(PreparedRequest prepared,
                                           double deadline_s) {
   if (!prepared.valid) {
-    util::MutexLock lock(mutex_);
-    ++rejected_;
-    SubmitOutcome out;
-    out.reject_reason = prepared.error;
-    out.reject_code = errc::kInvalidRequest;
-    return out;
+    return reject_invalid(std::move(prepared.error));
   }
   return admit_unit(prepared.key, std::move(prepared.canonical),
                     std::move(prepared.resolved), nullptr, deadline_s);
+}
+
+SubmitOutcome SimService::reject_invalid(std::string reason) {
+  util::MutexLock lock(mutex_);
+  ++rejected_;
+  SubmitOutcome out;
+  out.reject_reason = std::move(reason);
+  out.reject_code = errc::kInvalidRequest;
+  return out;
 }
 
 SubmitOutcome SimService::admit_unit(
@@ -323,12 +327,7 @@ SubmitOutcome SimService::submit_compare(const CompareRequest& request,
 SubmitOutcome SimService::submit_compare_prepared(PreparedCompare prepared,
                                                   double deadline_s) {
   if (!prepared.valid) {
-    util::MutexLock lock(mutex_);
-    ++rejected_;
-    SubmitOutcome out;
-    out.reject_reason = prepared.error;
-    out.reject_code = errc::kInvalidRequest;
-    return out;
+    return reject_invalid(std::move(prepared.error));
   }
   return admit_unit(
       prepared.key, std::move(prepared.canonical), SimRequest{},

@@ -417,6 +417,11 @@ class SimService : public ServiceApi {
   /// Map the in-flight exception to an ExecOutcome (call inside catch).
   static void classify_current_exception(ExecOutcome& out);
 
+  /// Count and report a request that failed resolution (the shared
+  /// kInvalidRequest rejection of submit_prepared() and
+  /// submit_compare_prepared()).
+  SubmitOutcome reject_invalid(std::string reason);
+
   /// Shared admission core of submit_prepared() and
   /// submit_compare_prepared(): cache lookup, shutdown/backpressure
   /// handling, job creation and queueing for one (key, canonical) unit of

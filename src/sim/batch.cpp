@@ -98,9 +98,7 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
                                           std::uint64_t base_seed,
                                           double duration_s,
                                           const EngineFactory& factory,
-                                          MetricsOptions metrics,
-                                          const std::atomic<bool>* stop)
-    const {
+                                          MetricsOptions metrics) const {
   if (!factory) {
     throw util::ConfigError("BatchRunner: null engine factory");
   }
@@ -112,10 +110,6 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
     BatchRecord& rec = records[i];
     rec.index = i;
     rec.seed = base_seed + static_cast<std::uint64_t>(i);
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      rec.completed = false;  // cancelled before the run started
-      return;
-    }
     const auto start = std::chrono::steady_clock::now();
     std::unique_ptr<Engine> engine = factory(i, rec.seed);
     if (!engine) {
@@ -123,8 +117,7 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
     }
     MetricsObserver tap(metrics);
     engine->add_observer(&tap);
-    engine->run(duration_s, stop);
-    rec.completed = stop == nullptr || !stop->load(std::memory_order_relaxed);
+    engine->run(duration_s);
     rec.metrics = tap.metrics(*engine);
     rec.report = make_report(*engine, metrics.temp_limit_c);
     rec.wall_s = std::chrono::duration<double>(

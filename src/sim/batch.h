@@ -10,7 +10,6 @@
 // (sim/montecarlo.h) byte-stable regardless of thread count.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,9 +48,6 @@ struct BatchRecord {
   RunReport report;
   /// Wall-clock seconds this run took on its worker.
   double wall_s = 0.0;
-  /// False when the batch's stop token fired before or during this run:
-  /// the metrics/report then summarize a partial (or empty) run.
-  bool completed = true;
 };
 
 /// Builds a fully wired engine (platform, governors, apps) for one batch
@@ -68,18 +64,10 @@ class BatchRunner {
   /// Fan `factory` across seeds base_seed..base_seed+runs-1, run each
   /// engine for `duration_s`, and return the per-run records in seed
   /// order. `metrics` parameterizes the per-run summaries.
-  ///
-  /// `stop` is an optional cooperative cancellation token shared by the
-  /// whole batch (threaded into every Engine::run, checked once per
-  /// tick): setting it aborts in-flight runs at their next tick and
-  /// skips unstarted ones. Affected records come back with
-  /// `completed == false`.
   std::vector<BatchRecord> run(std::size_t runs, std::uint64_t base_seed,
                                double duration_s,
                                const EngineFactory& factory,
-                               MetricsOptions metrics = {},
-                               const std::atomic<bool>* stop =
-                                   nullptr) const;
+                               MetricsOptions metrics = {}) const;
 
   /// Evaluate `metric(seed)` for seeds base_seed..base_seed+n-1 across the
   /// pool; results come back indexed by seed order, bit-identical to the

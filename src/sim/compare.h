@@ -1,13 +1,15 @@
-// Best-arm policy comparison with statistical early stopping.
+// Best-arm policy comparison: the pure decision rule and verdict metrics.
 //
 // The paper's headline tables are point-estimate policy comparisons (IPA
-// vs. the app-aware governor, with/without BML). This module turns that
-// into a statistical verdict: K policy "arms" are evaluated round by round
-// over a shared deterministic seed schedule (util/seed_schedule.h — common
-// random numbers, so per-seed jitter cancels out of the arm-vs-arm
-// difference), each arm accrues into a streaming WelfordAccumulator, and
-// the run stops as soon as the best arm's confidence interval separates
-// from every rival's — or the per-arm seed budget is exhausted.
+// vs. the app-aware governor, with/without BML). The service's `compare`
+// job (service/service.h) turns that into a statistical verdict: K policy
+// "arms" are evaluated round by round over a shared deterministic seed
+// schedule (util/seed_schedule.h — common random numbers, so per-seed
+// jitter cancels out of the arm-vs-arm difference), each arm accrues into
+// a streaming WelfordAccumulator, and the run stops as soon as the best
+// arm's confidence interval separates from every rival's — or the per-arm
+// seed budget is exhausted. This module holds the pieces of that loop
+// that are pure functions: the stop/continue rule and the named metrics.
 //
 // Separation criterion: arm b (best by mean, direction per
 // `higher_is_better`) is separated from rival r when
@@ -22,59 +24,20 @@
 // a *pure function of the ordered per-seed results*. Arms consume schedule
 // entries in index order, accumulators are fed arm-major in slot order
 // after each round completes, and decide_best_arm() reads only
-// accumulator state — never wall-clock, never thread identity. Replays
-// are therefore byte-identical at any thread count (BatchRunner already
-// guarantees per-record bit-identity), and the service layer
-// (service/service.h `compare` jobs) inherits the same guarantee across
-// shard counts and fault-injected retries.
+// accumulator state — never wall-clock, never thread identity. Each
+// per-seed result is one isolated engine run, so verdicts replay
+// byte-identically at any worker count, shard count, and across
+// fault-injected retries.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "sim/batch.h"
 #include "sim/metrics.h"
 #include "sim/montecarlo.h"
 
 namespace mobitherm::sim {
-
-/// One policy variant under comparison: a label plus an engine factory.
-/// The factory receives the flat (round-local) run index and the schedule
-/// seed for its slot and must build a fully wired engine for that seed —
-/// pure, like every BatchRunner factory.
-struct CompareArm {
-  std::string name;
-  EngineFactory factory;
-};
-
-struct CompareOptions {
-  /// Two-sided confidence level of the per-arm intervals.
-  double confidence = 0.95;
-  /// Per-arm seed budget: the comparison never runs more than this many
-  /// schedule entries per arm.
-  int max_seeds = 32;
-  /// Seeds added per arm per round (the decision cadence).
-  int round_seeds = 4;
-  /// No separation verdict before each arm holds this many seeds (>= 2).
-  int min_seeds = 4;
-  /// Base of the shared seed schedule; arm a's i-th sample always runs
-  /// seed SeedSchedule(base_seed).at(i), whatever the round slicing.
-  std::uint64_t base_seed = 1;
-  /// Metric direction: true picks the highest mean as best (fps), false
-  /// the lowest (peak temperature, power).
-  bool higher_is_better = true;
-  /// Simulated seconds per run (shared by every arm and seed).
-  double duration_s = 10.0;
-  /// Metric extracted from each finished run; must be non-null.
-  std::function<double(const BatchRecord&)> metric;
-  /// Per-run summary options forwarded to BatchRunner.
-  MetricsOptions metrics;
-  /// Worker-pool shape for the per-round fan-out.
-  BatchOptions batch;
-};
 
 /// The pure stop/continue decision over current accumulator state.
 struct CompareDecision {
@@ -89,44 +52,6 @@ struct CompareDecision {
 /// out-of-range confidence.
 CompareDecision decide_best_arm(const std::vector<WelfordAccumulator>& arms,
                                 double confidence, bool higher_is_better);
-
-/// Verdict of a comparison run.
-struct CompareResult {
-  std::size_t best = 0;
-  bool separated = false;
-  /// Rounds executed and schedule entries consumed per arm.
-  int rounds = 0;
-  int seeds_per_arm = 0;
-  /// True when the run stopped on CI separation before exhausting the
-  /// per-arm budget.
-  bool early_stop = false;
-  /// False when the cooperative stop token aborted the run; `arms` then
-  /// summarize only the completed rounds.
-  bool completed = true;
-  /// Final per-arm statistics at the configured confidence, arm order.
-  std::vector<ArmStats> arms;
-  std::vector<std::string> names;
-};
-
-/// Round-by-round best-arm evaluation over a shared seed schedule.
-class CompareRunner {
- public:
-  explicit CompareRunner(CompareOptions options);
-
-  /// Run the comparison: each round fans round_seeds schedule entries per
-  /// arm through one BatchRunner::run call (arm-major flat indexing),
-  /// feeds the metric values into the per-arm accumulators in (arm, slot)
-  /// order, and consults decide_best_arm(). `stop` is the optional
-  /// cooperative cancellation token shared with the whole batch. Throws
-  /// util::ConfigError on bad options or fewer than two arms.
-  CompareResult run(const std::vector<CompareArm>& arms,
-                    const std::atomic<bool>* stop = nullptr) const;
-
-  const CompareOptions& options() const { return options_; }
-
- private:
-  CompareOptions options_;
-};
 
 /// Named verdict metrics the service layer exposes: extract one summary
 /// number from a finished run's RunMetrics. "median_fps" reads the

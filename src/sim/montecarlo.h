@@ -3,24 +3,23 @@
 // Workload jitter and sensor noise are seeded, so any scenario can be
 // replayed across seeds to attach confidence information to a reported
 // number — what a careful reproduction does before comparing against the
-// paper's single hardware run. Seed fan-out is delegated to the parallel
-// batch runner (sim/batch.h): every seed gets an isolated engine, results
-// are collected in seed order, and the summary is bit-identical for any
-// thread count (including the serial threads=1 path).
+// paper's single hardware run. across_seeds() evaluates a per-seed metric
+// through BatchRunner::sweep (sim/batch.h): each call is the caller's
+// isolated run, samples are collected in seed order, and the summary is
+// bit-identical for any thread count (including the serial threads=1
+// path).
 //
 // The accumulation core is Welford's streaming algorithm: mean and M2 are
-// updated one sample at a time, so adaptive consumers (sim/compare.h) can
-// refine an arm's statistics round by round without rescanning samples.
-// summarize() feeds the same accumulator in sample order, which keeps the
-// batch/montecarlo callers bit-identical to the historical two-pass
-// implementation for the pinned test vectors.
+// updated one sample at a time, so the service's compare job
+// (sim/compare.h) can refine an arm's statistics round by round without
+// rescanning samples. summarize() feeds the same accumulator in sample
+// order, which keeps across_seeds() bit-identical to the historical
+// two-pass implementation for the pinned test vectors.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "sim/batch.h"
 
 namespace mobitherm::sim {
 
@@ -106,15 +105,5 @@ SeedStats summarize(const std::vector<double>& samples);
 SeedStats across_seeds(const std::function<double(std::uint64_t)>& metric,
                        int n, std::uint64_t base_seed = 1,
                        unsigned threads = 1);
-
-/// Factory-based variant: builds one engine per seed via `factory` (see
-/// sim/batch.h), runs each for `duration_s` through BatchRunner::run and
-/// summarizes `metric(record)` over the per-seed records. Bit-identical to
-/// evaluating the seeds one at a time.
-SeedStats across_seeds(const EngineFactory& factory, double duration_s,
-                       const std::function<double(const BatchRecord&)>&
-                           metric,
-                       int n, std::uint64_t base_seed = 1,
-                       BatchOptions options = {});
 
 }  // namespace mobitherm::sim

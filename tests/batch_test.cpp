@@ -61,36 +61,6 @@ TEST(AcrossSeeds, SerialAndParallelAreBitIdentical) {
   EXPECT_EQ(serial.max, parallel.max);
 }
 
-TEST(AcrossSeeds, FactoryOverloadMatchesPerSeedEngineRuns) {
-  const EngineFactory factory = [](std::size_t, std::uint64_t seed) {
-    NexusRun run;
-    run.app = workload::paperio();
-    run.seed = seed;
-    return make_nexus_engine(run);
-  };
-  BatchOptions opts;
-  opts.threads = 4;
-  const SeedStats batched = across_seeds(
-      factory, 2.0,
-      [](const BatchRecord& record) { return record.metrics.median_fps[0]; },
-      4, 81, opts);
-  // Reference: each seed's engine run alone on this thread.
-  const SeedStats serial = across_seeds(
-      [&factory](std::uint64_t seed) {
-        std::unique_ptr<Engine> engine = factory(0, seed);
-        MetricsObserver tap(MetricsOptions{});
-        engine->add_observer(&tap);
-        engine->run(2.0);
-        return tap.metrics(*engine).median_fps[0];
-      },
-      4, 81, 1);
-  EXPECT_EQ(batched.n, 4);
-  EXPECT_EQ(batched.mean, serial.mean);
-  EXPECT_EQ(batched.stddev, serial.stddev);
-  EXPECT_EQ(batched.min, serial.min);
-  EXPECT_EQ(batched.max, serial.max);
-}
-
 TEST(BatchRunner, SweepMatchesManualSerialLoop) {
   BatchOptions opts;
   opts.threads = 4;
@@ -102,19 +72,20 @@ TEST(BatchRunner, SweepMatchesManualSerialLoop) {
   }
 }
 
+std::unique_ptr<Engine> nexus_engine(std::size_t, std::uint64_t seed) {
+  NexusRun run;
+  run.app = workload::paperio();
+  run.seed = seed;
+  return make_nexus_engine(run);
+}
+
 TEST(BatchRunner, RunProducesOrderedFullRecords) {
   BatchOptions opts;
   opts.threads = 4;
   BatchRunner runner(opts);
   EXPECT_GE(runner.resolved_threads(), 1u);
-  const std::vector<BatchRecord> records = runner.run(
-      3, /*base_seed=*/21, /*duration_s=*/3.0,
-      [](std::size_t, std::uint64_t seed) {
-        NexusRun run;
-        run.app = workload::paperio();
-        run.seed = seed;
-        return make_nexus_engine(run);
-      });
+  const std::vector<BatchRecord> records =
+      runner.run(3, /*base_seed=*/21, /*duration_s=*/3.0, nexus_engine);
   ASSERT_EQ(records.size(), 3u);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BatchRecord& r = records[i];
@@ -131,20 +102,23 @@ TEST(BatchRunner, RunProducesOrderedFullRecords) {
   EXPECT_NE(records[0].metrics.median_fps[0],
             records[1].metrics.median_fps[0]);
 
-  // The same sweep again is deterministic run-to-run.
-  const std::vector<BatchRecord> again = runner.run(
-      3, 21, 3.0, [](std::size_t, std::uint64_t seed) {
-        NexusRun run;
-        run.app = workload::paperio();
-        run.seed = seed;
-        return make_nexus_engine(run);
-      });
+  // Reference: each seed's engine run alone on this thread. The pooled
+  // records must match it bit for bit, whichever worker ran them.
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].metrics.median_fps[0],
-              again[i].metrics.median_fps[0]);
-    EXPECT_EQ(records[i].metrics.peak_temp_c, again[i].metrics.peak_temp_c);
-    EXPECT_EQ(records[i].metrics.mean_power_w,
-              again[i].metrics.mean_power_w);
+    std::unique_ptr<Engine> engine = nexus_engine(i, records[i].seed);
+    MetricsObserver tap(MetricsOptions{});
+    engine->add_observer(&tap);
+    engine->run(3.0);
+    const RunMetrics alone = tap.metrics(*engine);
+    const RunReport report =
+        make_report(*engine, MetricsOptions{}.temp_limit_c);
+    const BatchRecord& r = records[i];
+    EXPECT_EQ(r.metrics.temp_trace_c, alone.temp_trace_c) << i;
+    EXPECT_EQ(r.metrics.median_fps, alone.median_fps) << i;
+    EXPECT_EQ(r.metrics.mean_power_w, alone.mean_power_w) << i;
+    EXPECT_EQ(r.metrics.residency, alone.residency) << i;
+    EXPECT_EQ(r.report.total_energy_j, report.total_energy_j) << i;
+    EXPECT_EQ(r.report.time_above_limit_s, report.time_above_limit_s) << i;
   }
 }
 

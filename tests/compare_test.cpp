@@ -1,23 +1,20 @@
 // Best-arm policy comparison (sim/compare.h) and its service face: the
 // Welford accumulators behind the statistics, the inverse-normal quantile,
-// the shared seed schedule, the pure decide_best_arm() rule, CompareRunner
-// round slicing, and the service-layer `compare` job (verdict caching,
-// lane-cache sharing with plain submits, fault-injected retries, deadlines
-// and cancellation, shard routing).
+// the shared seed schedule, the pure decide_best_arm() rule, and the
+// service-layer `compare` job — the one round-by-round comparison loop
+// (verdict caching, lane-cache sharing with plain submits, fault-injected
+// retries, deadlines and cancellation, shard routing).
 //
 // The load-bearing property is the determinism rule: the stop/continue
 // decision is a pure function of the ordered per-seed results, so a
-// comparison replays byte-identically at any thread count, any shard
+// comparison replays byte-identically at any worker count, any shard
 // count, and under fault-injected retries. Every replay comparison here is
 // EXPECT_EQ on doubles / payload strings — no tolerances.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,15 +23,13 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "service/shard.h"
-#include "sim/batch.h"
 #include "sim/compare.h"
-#include "sim/experiment.h"
 #include "sim/montecarlo.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/seed_schedule.h"
-#include "workload/presets.h"
 
 namespace mobitherm {
 namespace {
@@ -48,11 +43,7 @@ using service::ShardedService;
 using service::SimService;
 using service::SubmitOutcome;
 using sim::ArmStats;
-using sim::CompareArm;
 using sim::CompareDecision;
-using sim::CompareOptions;
-using sim::CompareResult;
-using sim::CompareRunner;
 using sim::WelfordAccumulator;
 using util::ConfigError;
 using util::FaultPlan;
@@ -218,121 +209,6 @@ TEST(DecideBestArm, ValidatesInputs) {
   EXPECT_THROW(sim::decide_best_arm(arms, 1.0, true), ConfigError);
 }
 
-// --- CompareRunner ---------------------------------------------------------
-
-// Nexus Paper.io with vs. without throttling: ~5 fps of median-FPS gap
-// against well under 1 fps of seed noise, so the pair separates at the
-// minimum sample count.
-sim::EngineFactory nexus_arm_factory(bool throttling) {
-  return [throttling](std::size_t, std::uint64_t seed) {
-    sim::NexusRun run;
-    run.app = workload::paperio();
-    run.throttling = throttling;
-    run.seed = seed;
-    return sim::make_nexus_engine(run);
-  };
-}
-
-CompareOptions nexus_compare_options() {
-  CompareOptions options;
-  options.metric = [](const sim::BatchRecord& record) {
-    return record.metrics.median_fps.front();
-  };
-  options.higher_is_better = true;
-  options.duration_s = 60.0;
-  options.max_seeds = 8;
-  options.round_seeds = 2;
-  options.min_seeds = 2;
-  options.base_seed = 11;
-  options.batch.threads = 1;
-  return options;
-}
-
-std::vector<CompareArm> nexus_arms() {
-  return {{"unthrottled", nexus_arm_factory(false)},
-          {"throttled", nexus_arm_factory(true)}};
-}
-
-TEST(CompareRunnerTest, EarlyStopsOnSeparatedPair) {
-  const CompareRunner runner(nexus_compare_options());
-  const CompareResult result = runner.run(nexus_arms());
-  ASSERT_TRUE(result.completed);
-  EXPECT_TRUE(result.separated);
-  EXPECT_TRUE(result.early_stop);
-  EXPECT_EQ(result.best, 0u);  // unthrottled runs faster
-  EXPECT_LT(result.seeds_per_arm, 8);
-  EXPECT_EQ(result.rounds * 2, result.seeds_per_arm);
-  ASSERT_EQ(result.arms.size(), 2u);
-  EXPECT_GT(result.arms[0].mean, result.arms[1].mean);
-  EXPECT_EQ(result.names[0], "unthrottled");
-  // Every arm consumed >= min_seeds samples with finite intervals.
-  for (const ArmStats& s : result.arms) {
-    EXPECT_GE(s.n, 2);
-    EXPECT_TRUE(std::isfinite(s.half_width));
-  }
-}
-
-TEST(CompareRunnerTest, ThreadCountDoesNotChangeTheVerdict) {
-  CompareOptions serial = nexus_compare_options();
-  CompareOptions threaded = nexus_compare_options();
-  threaded.batch.threads = 4;
-  const CompareResult a = CompareRunner(serial).run(nexus_arms());
-  const CompareResult b = CompareRunner(threaded).run(nexus_arms());
-  EXPECT_EQ(a.best, b.best);
-  EXPECT_EQ(a.separated, b.separated);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.seeds_per_arm, b.seeds_per_arm);
-  ASSERT_EQ(a.arms.size(), b.arms.size());
-  for (std::size_t i = 0; i < a.arms.size(); ++i) {
-    EXPECT_EQ(a.arms[i].mean, b.arms[i].mean) << "arm " << i;
-    EXPECT_EQ(a.arms[i].stddev, b.arms[i].stddev) << "arm " << i;
-    EXPECT_EQ(a.arms[i].half_width, b.arms[i].half_width) << "arm " << i;
-  }
-}
-
-TEST(CompareRunnerTest, IdenticalArmsRefuseToSeparate) {
-  // Same policy on both arms: common random numbers make the per-seed
-  // metric values identical, the gap is exactly zero, and the comparison
-  // must run to its full budget and say so.
-  const CompareOptions options = nexus_compare_options();
-  const std::vector<CompareArm> arms = {
-      {"a", nexus_arm_factory(true)}, {"b", nexus_arm_factory(true)}};
-  const CompareResult result = CompareRunner(options).run(arms);
-  ASSERT_TRUE(result.completed);
-  EXPECT_FALSE(result.separated);
-  EXPECT_FALSE(result.early_stop);
-  EXPECT_EQ(result.best, 0u);  // tie resolves to the lowest index
-  EXPECT_EQ(result.seeds_per_arm, 8);
-  EXPECT_EQ(result.arms[0].mean, result.arms[1].mean);
-}
-
-TEST(CompareRunnerTest, StopTokenAbortsWithoutAVerdict) {
-  const std::atomic<bool> stop{true};
-  const CompareResult result =
-      CompareRunner(nexus_compare_options()).run(nexus_arms(), &stop);
-  EXPECT_FALSE(result.completed);
-  EXPECT_FALSE(result.separated);
-  EXPECT_EQ(result.seeds_per_arm, 0);
-}
-
-TEST(CompareRunnerTest, ValidatesOptionsAndArms) {
-  CompareOptions options = nexus_compare_options();
-  const CompareRunner runner(options);
-  EXPECT_THROW(runner.run({nexus_arms()[0]}), ConfigError);  // one arm
-  options.metric = nullptr;
-  EXPECT_THROW(CompareRunner{options}, ConfigError);
-  options = nexus_compare_options();
-  options.min_seeds = 1;
-  EXPECT_THROW(CompareRunner{options}, ConfigError);
-  options = nexus_compare_options();
-  options.max_seeds = 2;
-  options.min_seeds = 4;
-  EXPECT_THROW(CompareRunner{options}, ConfigError);
-  options = nexus_compare_options();
-  options.confidence = 1.0;
-  EXPECT_THROW(CompareRunner{options}, ConfigError);
-}
-
 // --- service-layer compare jobs -------------------------------------------
 
 // Odroid IPA (default) vs. app-aware (proposed) with BML: identical
@@ -401,6 +277,64 @@ TEST(ServiceCompare, VerdictNamesSeparationAndEarlyStop) {
   EXPECT_EQ(stats.compare_rounds, 1u);
   EXPECT_EQ(stats.compare_lane_runs, 4u);  // 2 arms x 2 seeds
   EXPECT_EQ(stats.compare_early_stops, 1u);
+}
+
+TEST(ServiceCompare, OdroidVerdictBytesArePinned) {
+  // The Sec. IV-C verdict, byte for byte: any change to the seed
+  // schedule, the lane runs, the accumulation order, the decision rule or
+  // the payload formatting moves these bytes.
+  SimService service(ScenarioRegistry::standard(), compare_config());
+  EXPECT_EQ(
+      run_compare_payload(service, odroid_compare_request()),
+      "{\"compare\":{\"metric\":\"peak_temp_c\",\"higher_is_better\":false,"
+      "\"confidence\":0.95,\"winner\":\"proposed+bml\",\"winner_index\":1,"
+      "\"separated\":true,\"early_stop\":true,\"rounds\":1,"
+      "\"seeds_per_arm\":2,\"max_seeds\":8,\"base_seed\":1,\"arms\":["
+      "{\"name\":\"default+bml\",\"mean\":94.76690363460708,"
+      "\"ci95\":0.021651349621377925,\"stddev\":0.015622548421844566,"
+      "\"n\":2},"
+      "{\"name\":\"proposed+bml\",\"mean\":79.45691525123624,"
+      "\"ci95\":0.010013028949036029,\"stddev\":0.007224908947532455,"
+      "\"n\":2}]}}");
+}
+
+TEST(ServiceCompare, IdenticalArmsRunToBudgetUnseparated) {
+  // Same policy on both arms: common random numbers make the per-seed
+  // metric values identical (arm b's lanes are arm a's cache entries), the
+  // gap is exactly zero, and the comparison must run its full budget and
+  // say so.
+  SimService service(ScenarioRegistry::standard(), compare_config());
+  CompareRequest request = odroid_compare_request();
+  request.arms[1] = request.arms[0];
+  request.arms[0].name = "a";
+  request.arms[1].name = "b";
+  for (CompareArmRequest& arm : request.arms) {
+    arm.request.duration_s = 10.0;
+  }
+  request.max_seeds = 4;
+  const std::string payload = run_compare_payload(service, request);
+  EXPECT_NE(payload.find("\"separated\":false"), std::string::npos)
+      << payload;
+  EXPECT_NE(payload.find("\"early_stop\":false"), std::string::npos);
+  EXPECT_NE(payload.find("\"seeds_per_arm\":4"), std::string::npos);
+  EXPECT_NE(payload.find("\"max_seeds\":4"), std::string::npos);
+  // The tie resolves to the lowest arm index.
+  EXPECT_NE(payload.find("\"winner_index\":0"), std::string::npos);
+  EXPECT_NE(payload.find("\"winner\":\"a\""), std::string::npos);
+  // Both arms hold the same samples, so their statistics are equal.
+  const util::json::Value verdict = util::json::Value::parse(payload);
+  const auto& arms = verdict.find("compare")->find("arms")->items();
+  ASSERT_EQ(arms.size(), 2u);
+  for (const char* field : {"mean", "stddev", "ci95", "n"}) {
+    EXPECT_EQ(arms[0].find(field)->as_number(),
+              arms[1].find(field)->as_number())
+        << field;
+  }
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.compare_rounds, 2u);
+  EXPECT_EQ(stats.compare_early_stops, 0u);
+  EXPECT_EQ(stats.compare_lane_runs, 4u);  // arm a's lanes
+  EXPECT_EQ(stats.compare_lane_hits, 4u);  // arm b reuses every one
 }
 
 TEST(ServiceCompare, RepeatComparisonIsServedFromCache) {
@@ -543,6 +477,17 @@ TEST(ServiceCompare, InvalidComparisonsRejectAtAdmission) {
   CompareRequest bad_budget = odroid_compare_request();
   bad_budget.min_seeds = 1;
   EXPECT_FALSE(service.submit_compare(bad_budget).accepted);
+
+  CompareRequest short_budget = odroid_compare_request();
+  short_budget.min_seeds = 4;
+  short_budget.max_seeds = 2;
+  EXPECT_FALSE(service.submit_compare(short_budget).accepted);
+
+  CompareRequest certain = odroid_compare_request();
+  certain.confidence = 1.0;
+  const SubmitOutcome c = service.submit_compare(certain);
+  EXPECT_FALSE(c.accepted);
+  EXPECT_EQ(c.reject_code, service::errc::kInvalidRequest);
 
   CompareRequest bad_scenario = odroid_compare_request();
   bad_scenario.arms[0].request.scenario = "nokia";

@@ -1,9 +1,9 @@
 // Service-layer tests: JSON round trips, scenario-registry resolution and
 // canonical keys, LRU result-cache behavior, job-queue admission control
 // (backpressure, deadlines, cancellation), wide multi-seed jobs, the
-// NDJSON protocol, and a concurrent stress run for TSan. Plus the regression tests this PR pins:
-// Scenario::fired() resets between runs, and the cooperative stop token
-// threads through Engine::run and BatchRunner.
+// NDJSON protocol, and a concurrent stress run for TSan. Plus two pinned
+// regressions: Scenario::fired() resets between runs, and the cooperative
+// stop token threads through Engine::run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "service/scenario_registry.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "sim/batch.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "util/error.h"
@@ -753,26 +752,6 @@ TEST(EngineStopToken, MidRunStopEndsEarly) {
   stopper.join();
   EXPECT_LT(engine->now_s(), 100000.0);
   EXPECT_GT(engine->now_s(), 0.0);
-}
-
-TEST(BatchRunnerStopToken, PreSetTokenSkipsRuns) {
-  sim::BatchOptions options;
-  options.threads = 2;
-  const sim::BatchRunner runner(options);
-  std::atomic<bool> stop{true};
-  const auto records = runner.run(
-      3, 1, 1.0,
-      [](std::size_t, std::uint64_t seed) {
-        sim::NexusRun run;
-        run.app = workload::paperio();
-        run.seed = seed;
-        return sim::make_nexus_engine(run);
-      },
-      sim::MetricsOptions{}, &stop);
-  ASSERT_EQ(records.size(), 3u);
-  for (const sim::BatchRecord& rec : records) {
-    EXPECT_FALSE(rec.completed);
-  }
 }
 
 }  // namespace
