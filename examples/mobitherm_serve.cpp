@@ -1,11 +1,12 @@
 // mobitherm_serve: the NDJSON simulation service, on stdin/stdout or a
 // TCP socket.
 //
-// One JSON request per line, one JSON response per line:
+// One JSON request per line, one JSON response per line (a single shell
+// command, shown wrapped):
 //
-//   $ printf '%s\n' \
-//       '{"op":"submit","scenario":"nexus","app":"paperio","duration_s":5}' \
-//       '{"op":"wait","job":1}' '{"op":"result","job":1}' '{"op":"stats"}' \
+//   $ printf '%s\n'
+//       '{"op":"submit","scenario":"nexus","app":"paperio","duration_s":5}'
+//       '{"op":"wait","job":1}' '{"op":"result","job":1}' '{"op":"stats"}'
 //       | ./mobitherm_serve
 //
 // With --listen the same protocol is served to many concurrent loopback

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
-#include "util/error.h"
-
 namespace mobitherm::governors {
 
 // Out-of-line default constructors: nested Config default member
 // initializers are not usable as in-class default arguments (CWG 1397).
 Ondemand::Ondemand() : config_(Config{}) {}
-Conservative::Conservative() : config_(Config{}) {}
 Interactive::Interactive() : config_(Config{}) {}
-Schedutil::Schedutil() : config_(Config{}) {}
 
 
 std::size_t Ondemand::decide(const CpufreqInputs& in,
@@ -34,23 +30,9 @@ std::size_t Ondemand::decide(const CpufreqInputs& in,
   return table.ceil_index(wanted);
 }
 
-std::size_t Conservative::decide(const CpufreqInputs& in,
-                                 const platform::OppTable& table) {
-  if (in.utilization >= config_.up_threshold) {
-    return std::min(in.current_index + 1, table.max_index());
-  }
-  if (in.utilization <= config_.down_threshold && in.current_index > 0) {
-    return in.current_index - 1;
-  }
-  return in.current_index;
-}
-
 std::size_t Interactive::decide(const CpufreqInputs& in,
                                 const platform::OppTable& table) {
   const util::Seconds dt = config_.sampling_period_s;
-  if (boost_remaining_s_ > util::seconds(0.0)) {
-    boost_remaining_s_ -= dt;
-  }
   const util::Hertz f_cur = table.at(in.current_index).freq_hz;
   const util::Hertz f_max = table.highest().freq_hz;
   const std::size_t hispeed_index =
@@ -78,11 +60,6 @@ std::size_t Interactive::decide(const CpufreqInputs& in,
     next = target_index;
   }
 
-  if (boost_remaining_s_ > util::seconds(0.0)) {
-    // Touch boost: never fall below hispeed while the boost holds.
-    next = std::max(next, hispeed_index);
-  }
-
   if (next > in.current_index) {
     time_since_raise_ = util::seconds(0.0);
   } else if (next < in.current_index) {
@@ -95,39 +72,6 @@ std::size_t Interactive::decide(const CpufreqInputs& in,
     }
   }
   return std::min(next, table.max_index());
-}
-
-std::size_t Schedutil::decide(const CpufreqInputs& in,
-                              const platform::OppTable& table) {
-  const util::Hertz f_cur = table.at(in.current_index).freq_hz;
-  const util::Hertz wanted = config_.headroom * f_cur * in.utilization;
-  return table.ceil_index(wanted);
-}
-
-std::unique_ptr<CpufreqGovernor> make_cpufreq_governor(
-    const std::string& name) {
-  if (name == "performance") {
-    return std::make_unique<Performance>();
-  }
-  if (name == "powersave") {
-    return std::make_unique<Powersave>();
-  }
-  if (name == "userspace") {
-    return std::make_unique<Userspace>(0);
-  }
-  if (name == "ondemand") {
-    return std::make_unique<Ondemand>();
-  }
-  if (name == "conservative") {
-    return std::make_unique<Conservative>();
-  }
-  if (name == "interactive") {
-    return std::make_unique<Interactive>();
-  }
-  if (name == "schedutil") {
-    return std::make_unique<Schedutil>();
-  }
-  throw util::ConfigError("unknown cpufreq governor: " + name);
 }
 
 }  // namespace mobitherm::governors

@@ -113,15 +113,6 @@ Engine::Engine(platform::SocSpec soc_spec,
 
 std::size_t Engine::add_app(const workload::AppSpec& spec,
                             std::optional<std::size_t> cpu_cluster) {
-  return add_app_at(spec, 0.0, cpu_cluster);
-}
-
-std::size_t Engine::add_app_at(const workload::AppSpec& spec,
-                               double delay_s,
-                               std::optional<std::size_t> cpu_cluster) {
-  if (delay_s < 0.0) {
-    throw ConfigError("Engine: app start delay must be non-negative");
-  }
   const std::size_t cpu =
       cpu_cluster.value_or(soc_.spec().big());
   std::optional<std::size_t> gpu;
@@ -132,30 +123,9 @@ std::size_t Engine::add_app_at(const workload::AppSpec& spec,
   slot.instance = std::make_unique<workload::AppInstance>(
       spec, scheduler_, cpu, gpu,
       util::derive_seed(config_.seed, 400 + apps_.size()));
-  slot.start_s = now_ + delay_s;
+  slot.start_s = now_;
   apps_.push_back(std::move(slot));
   return apps_.size() - 1;
-}
-
-void Engine::suspend_app(std::size_t index) {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  apps_[index].suspended = true;
-}
-
-void Engine::resume_app(std::size_t index) {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  apps_[index].suspended = false;
-}
-
-bool Engine::app_suspended(std::size_t index) const {
-  if (index >= apps_.size()) {
-    throw ConfigError("Engine: app index out of range");
-  }
-  return apps_[index].suspended;
 }
 
 workload::AppInstance& Engine::app(std::size_t index) {
@@ -256,15 +226,6 @@ std::size_t Engine::dvfs_transitions(std::size_t cluster) const {
   return dvfs_counter_->transitions(cluster);
 }
 
-void Engine::inject_input() {
-  for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-    const ResourceKind kind = soc_.cluster(c).kind;
-    if (kind == ResourceKind::kCpuLittle || kind == ResourceKind::kCpuBig) {
-      cpufreq_[c].gov->notify_input();
-    }
-  }
-}
-
 double Engine::control_temp_k() const {
   double best = 0.0;
   for (std::size_t node = 0; node < node_sensors_.size(); ++node) {
@@ -318,7 +279,6 @@ void Engine::run(double seconds, const std::atomic<bool>* stop) {
 void Engine::tick() {
   TickContext ctx;
   ctx.dt = config_.tick_s;
-  stage_input(ctx);
   stage_demand(ctx);
   stage_allocate(ctx);
   stage_contention(ctx);
@@ -356,28 +316,9 @@ void Engine::tick() {
   now_ += ctx.dt;
 }
 
-// Injected user input (touch boost).
-void Engine::stage_input(TickContext& ctx) {
-  if (config_.input_event_interval_s <= 0.0) {
-    return;
-  }
-  input_accum_ += ctx.dt;
-  if (input_accum_ >= config_.input_event_interval_s) {
-    inject_input();
-    input_accum_ = 0.0;
-  }
-}
-
-// Workload demands (suspended or not-yet-started apps demand zero).
+// Workload demands, on each app's own clock.
 void Engine::stage_demand(TickContext& ctx) {
   for (AppSlot& slot : apps_) {
-    if (slot.suspended || now_ < slot.start_s) {
-      scheduler_.process(slot.instance->cpu_pid()).set_demand_rate(0.0);
-      if (slot.instance->gpu_pid() >= 0) {
-        scheduler_.process(slot.instance->gpu_pid()).set_demand_rate(0.0);
-      }
-      continue;
-    }
     slot.instance->set_demands(scheduler_, now_ - slot.start_s, ctx.dt);
   }
 }
@@ -452,12 +393,6 @@ void Engine::stage_power(TickContext& ctx) {
       last_busy_cores_[c] = activity.busy_cores;
     } else {
       activity.busy_cores = last_busy_cores_[c];
-    }
-    if (config_.enable_cpuidle && kind != ResourceKind::kMemory) {
-      // Expected idle gaps at tick granularity scaled by a scheduler
-      // quantum (~10 ms), matching menu-governor horizons.
-      activity.idle_power_scale = cpuidle_.idle_power_fraction(
-          scheduler_.cluster_utilization(soc_, c), 0.01);
     }
     activity.temp_k = network_.temperature(soc_.cluster(c).thermal_node);
     const power::ClusterPower p =
@@ -647,10 +582,6 @@ void Engine::apply_dvfs() {
       e.from_index = soc_.state(c).opp_index;
       e.to_index = index;
       publish_dvfs_transition(e);
-      if (config_.dvfs_latency_s > 0.0) {
-        scheduler_.set_capacity_penalty(
-            c, std::min(1.0, config_.dvfs_latency_s / config_.tick_s));
-      }
     }
     soc_.set_opp(c, index);
   }

@@ -2,7 +2,7 @@
 //
 // Binds the platform, power model, thermal network, scheduler, workloads
 // and governors into a staged tick pipeline:
-//   input -> demand -> allocate/account -> contention -> power -> thermal
+//   demand -> allocate/account -> contention -> power -> thermal
 //   -> sensors -> residency -> governors -> dvfs -> trace
 // Each stage is a private method receiving an explicit TickContext, so the
 // stages are independently testable and the loop reads as the methodology
@@ -30,7 +30,6 @@
 #include "governors/hotplug.h"
 #include "governors/thermal.h"
 #include "platform/soc.h"
-#include "power/idle.h"
 #include "power/model.h"
 #include "power/sensors.h"
 #include "sched/scheduler.h"
@@ -64,19 +63,6 @@ struct EngineConfig {
   double mem_cpu_coeff = 0.08;
   double mem_gpu_coeff = 0.45;
 
-  /// Model cpuidle (C-state) savings on the CPU clusters' idle floors
-  /// using power::CpuIdleModel::default_arm(). Off by default: the board
-  /// presets were characterized with the floor always on.
-  bool enable_cpuidle = false;
-
-  /// Time lost per DVFS transition (voltage regulator settle + relock);
-  /// charged to the transitioning cluster's next tick. 0 = free switches.
-  double dvfs_latency_s = 0.0;
-
-  /// Inject a user-input event (touch) every this many seconds; boosts
-  /// interactive governors. 0 = no injected input.
-  double input_event_interval_s = 0.0;
-
   /// Model DRAM bandwidth contention: when the apps' aggregate traffic
   /// (granted work x AppSpec::mem_bytes_per_work) exceeds the peak
   /// bandwidth, CPU/GPU capacity stalls proportionally on the next tick.
@@ -103,22 +89,10 @@ class Engine {
 
   // --- wiring -------------------------------------------------------------
 
-  /// Add an app; its CPU process starts on `cpu_cluster` (default: the big
-  /// cluster). Returns the app index.
+  /// Add an app that starts demanding work now; its CPU process starts on
+  /// `cpu_cluster` (default: the big cluster). Returns the app index.
   std::size_t add_app(const workload::AppSpec& spec,
                       std::optional<std::size_t> cpu_cluster = std::nullopt);
-
-  /// Add an app that starts demanding work `delay_s` seconds from now
-  /// (e.g. a background task launched mid-experiment).
-  std::size_t add_app_at(const workload::AppSpec& spec, double delay_s,
-                         std::optional<std::size_t> cpu_cluster =
-                             std::nullopt);
-
-  /// Suspend / resume an app (a suspended app demands nothing; its clock
-  /// keeps running, like an Android app moved to the cached state).
-  void suspend_app(std::size_t index);
-  void resume_app(std::size_t index);
-  bool app_suspended(std::size_t index) const;
 
   workload::AppInstance& app(std::size_t index);
   const workload::AppInstance& app(std::size_t index) const;
@@ -222,10 +196,6 @@ class Engine {
   /// DvfsTransitionCounter).
   std::size_t dvfs_transitions(std::size_t cluster) const;
 
-  /// Deliver a user-input event to every CPU cluster's governor now
-  /// (interactive governors boost to hispeed, per the paper's Sec. I).
-  void inject_input();
-
   /// Aggregate DRAM traffic demanded during the last tick (GB/s); 0 when
   /// the contention model is disabled.
   double memory_bandwidth_gbps() const { return last_mem_bw_gbps_; }
@@ -260,7 +230,6 @@ class Engine {
   void tick();
 
   // Pipeline stages, in tick order.
-  void stage_input(TickContext& ctx);        // injected touch events
   void stage_demand(TickContext& ctx);       // app demand rates
   void stage_allocate(TickContext& ctx);     // scheduler + frame accounting
   void stage_contention(TickContext& ctx);   // DRAM bandwidth stalls
@@ -290,7 +259,6 @@ class Engine {
   struct AppSlot {
     std::unique_ptr<workload::AppInstance> instance;
     double start_s = 0.0;
-    bool suspended = false;
   };
   std::vector<AppSlot> apps_;
 
@@ -315,7 +283,6 @@ class Engine {
   std::optional<thermal::SkinEstimator> skin_;
 
   std::vector<bool> in_conflict_;
-  double input_accum_ = 0.0;
   double last_mem_bw_gbps_ = 0.0;
   double last_mem_stall_ = 0.0;
 
@@ -337,7 +304,6 @@ class Engine {
   std::vector<double> node_temp_scratch_;    // thermal-governor sensor view
   std::vector<std::size_t> caps_scratch_;    // thermal-governor cap snapshot
 
-  power::CpuIdleModel cpuidle_ = power::CpuIdleModel::default_arm();
   util::SlidingWindow power_window_;
   double last_total_power_w_ = 0.0;
   std::vector<double> last_busy_cores_;

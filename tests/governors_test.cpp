@@ -33,20 +33,7 @@ CpufreqInputs in(double util, std::size_t index) {
   return i;
 }
 
-// --- trivial policies ----------------------------------------------------------
-
-TEST(Cpufreq, PerformanceAlwaysMax) {
-  Performance gov;
-  const OppTable t = ladder();
-  EXPECT_EQ(gov.decide(in(0.0, 0), t), 4u);
-  EXPECT_EQ(gov.decide(in(1.0, 2), t), 4u);
-}
-
-TEST(Cpufreq, PowersaveAlwaysMin) {
-  Powersave gov;
-  const OppTable t = ladder();
-  EXPECT_EQ(gov.decide(in(1.0, 4), t), 0u);
-}
+// --- userspace ---------------------------------------------------------------------
 
 TEST(Cpufreq, UserspacePinsAndClamps) {
   Userspace gov(2);
@@ -77,17 +64,6 @@ TEST(Ondemand, StableAtModerateLoad) {
   Ondemand gov;
   // 600 MHz, util exactly 0.79: wanted = 600*0.79/0.8 = 592.5 -> 600.
   EXPECT_EQ(gov.decide(in(0.79, 2), ladder()), 2u);
-}
-
-// --- conservative ------------------------------------------------------------------
-
-TEST(Conservative, StepsUpAndDownOneAtATime) {
-  Conservative gov;
-  EXPECT_EQ(gov.decide(in(0.9, 2), ladder()), 3u);
-  EXPECT_EQ(gov.decide(in(0.9, 4), ladder()), 4u);  // saturates at max
-  EXPECT_EQ(gov.decide(in(0.1, 2), ladder()), 1u);
-  EXPECT_EQ(gov.decide(in(0.1, 0), ladder()), 0u);  // saturates at min
-  EXPECT_EQ(gov.decide(in(0.5, 2), ladder()), 2u);  // dead band holds
 }
 
 // --- interactive --------------------------------------------------------------------
@@ -129,40 +105,6 @@ TEST(Interactive, TargetLoadSizing) {
     EXPECT_EQ(gov.decide(in(0.45, 4), ladder()), 4u) << i;
   }
   EXPECT_EQ(gov.decide(in(0.45, 4), ladder()), 2u);
-}
-
-// --- schedutil -----------------------------------------------------------------------
-
-TEST(Schedutil, HeadroomFormula) {
-  Schedutil gov;
-  // 1.25 * 600 * 0.8 = 600 -> index 2 (stable).
-  EXPECT_EQ(gov.decide(in(0.8, 2), ladder()), 2u);
-  // 1.25 * 600 * 1.0 = 750 -> index 3.
-  EXPECT_EQ(gov.decide(in(1.0, 2), ladder()), 3u);
-  EXPECT_EQ(gov.decide(in(0.0, 4), ladder()), 0u);
-}
-
-// --- factory -------------------------------------------------------------------------
-
-TEST(Factory, MakesAllKnownNames) {
-  for (const char* name : {"performance", "powersave", "userspace",
-                           "ondemand", "conservative", "interactive",
-                           "schedutil"}) {
-    const auto gov = make_cpufreq_governor(name);
-    ASSERT_NE(gov, nullptr);
-    EXPECT_STREQ(gov->name(), name);
-  }
-  EXPECT_THROW(make_cpufreq_governor("turbo"), ConfigError);
-}
-
-// --- NoThrottle ----------------------------------------------------------------------
-
-TEST(NoThrottle, NeverCaps) {
-  NoThrottle gov;
-  ThermalContext ctx;
-  ctx.control_temp_k = util::kelvin(500.0);
-  gov.update(ctx);
-  EXPECT_GE(gov.cap_index(0), 1000u);
 }
 
 // --- StepWise ------------------------------------------------------------------------

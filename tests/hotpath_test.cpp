@@ -50,10 +50,17 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// Every replaced new above returns malloc memory, so free() is the matching
+// release. GCC cannot see through the replacement and flags each free() as
+// -Wmismatched-new-delete; the pairing is legal, so the warning is silenced
+// for these four definitions only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace mobitherm {
 namespace {

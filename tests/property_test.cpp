@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "platform/presets.h"
 #include "sched/scheduler.h"
@@ -35,8 +37,10 @@ thermal::ThermalNetworkSpec random_network(util::Xorshift64Star& rng,
   thermal::ThermalNetworkSpec spec;
   spec.t_ambient_k = util::kelvin(rng.uniform(280.0, 310.0));
   for (std::size_t i = 0; i < nodes; ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
     spec.nodes.push_back(
-        {"n" + std::to_string(i),
+        {std::move(name),
          util::joules_per_kelvin(rng.uniform(0.1, 5.0)),
          util::watts_per_kelvin(rng.uniform() < 0.5
                                     ? rng.uniform(0.001, 0.1)
@@ -140,7 +144,8 @@ TEST_P(RandomScheduling, WorkConservingAndBounded) {
   std::vector<sched::Pid> pids;
   for (int i = 0; i < nproc; ++i) {
     sched::ProcessSpec ps;
-    ps.name = "p" + std::to_string(i);
+    ps.name = "p";
+    ps.name += std::to_string(i);
     ps.threads = 1 + static_cast<int>(rng.below(4));
     const std::size_t cluster = rng.uniform() < 0.5 ? spec.big()
                                                     : spec.little();

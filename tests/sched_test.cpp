@@ -1,5 +1,6 @@
 // Unit tests for the scheduler: spawning, allocation, contention,
-// migration, windows, power attribution, victim selection.
+// migration, windows, power attribution, victim selection, capacity
+// penalties.
 #include <gtest/gtest.h>
 
 #include "platform/presets.h"
@@ -229,6 +230,12 @@ TEST(Scheduler, ZeroOnlineCoresGrantNothing) {
   f.sched.allocate(f.soc, 0.01);
   EXPECT_DOUBLE_EQ(f.sched.process(pid).granted_rate(), 0.0);
   EXPECT_DOUBLE_EQ(f.sched.cluster_utilization(f.soc, big), 0.0);
+}
+
+TEST(Scheduler, CapacityPenaltyValidation) {
+  Fixture f;
+  EXPECT_THROW(f.sched.set_capacity_penalty(99, 0.5), ConfigError);
+  EXPECT_THROW(f.sched.set_capacity_penalty(0, 1.5), ConfigError);
 }
 
 TEST(Process, ClassNames) {

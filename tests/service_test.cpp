@@ -1,9 +1,8 @@
 // Service-layer tests: JSON round trips, scenario-registry resolution and
 // canonical keys, LRU result-cache behavior, job-queue admission control
 // (backpressure, deadlines, cancellation), wide multi-seed jobs, the
-// NDJSON protocol, and a concurrent stress run for TSan. Plus two pinned
-// regressions: Scenario::fired() resets between runs, and the cooperative
-// stop token threads through Engine::run.
+// NDJSON protocol, and a concurrent stress run for TSan. Plus a pinned
+// regression: the cooperative stop token threads through Engine::run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "sim/experiment.h"
-#include "sim/scenario.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "workload/presets.h"
@@ -703,30 +701,6 @@ TEST(SimServer, ResultOnUnfinishedJobReportsState) {
   EXPECT_NE(res.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(res.find("not done"), std::string::npos);
   server.handle_line("{\"op\":\"cancel\",\"job\":1}");
-}
-
-// --- regression: Scenario::fired resets between runs -----------------------
-
-TEST(Scenario, FiredEventsResetBetweenRuns) {
-  const ScenarioRegistry& reg = standard_registry();
-  SimRequest req;
-  req.scenario = "nexus";
-  req.duration_s = 2.0;
-
-  sim::Scenario scenario;
-  int calls = 0;
-  scenario.at(1.0, "poke", [&calls](sim::Engine&) { ++calls; });
-
-  std::unique_ptr<sim::Engine> first = reg.make_engine(req);
-  scenario.run(*first, 2.0);
-  ASSERT_EQ(scenario.fired().size(), 1u);
-
-  // A second run on a fresh engine must not accumulate stale entries.
-  std::unique_ptr<sim::Engine> second = reg.make_engine(req);
-  scenario.run(*second, 2.0);
-  EXPECT_EQ(scenario.fired().size(), 1u);
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(scenario.fired()[0].second, "poke");
 }
 
 // --- cooperative stop token ------------------------------------------------

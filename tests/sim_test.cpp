@@ -124,22 +124,23 @@ TEST(Engine, RailEnergyMatchesMeanPower) {
   EXPECT_NEAR(rail_total + 0.25, engine->windowed_power_w(), 1.0);
 }
 
-TEST(Engine, PerformanceGovernorPinsMax) {
+TEST(Engine, UserspaceAtMaxPinsMax) {
   auto engine = make_engine();
   const std::size_t big = engine->soc().spec().big();
-  engine->set_cpufreq_governor(big,
-                               std::make_unique<governors::Performance>());
+  engine->set_cpufreq_governor(
+      big, std::make_unique<governors::Userspace>(
+               engine->soc().cluster(big).opps.max_index()));
   engine->add_app(workload::bml());
   engine->run(1.0);
   EXPECT_EQ(engine->soc().state(big).opp_index,
             engine->soc().cluster(big).opps.max_index());
 }
 
-TEST(Engine, PowersaveGovernorDropsToMin) {
+TEST(Engine, UserspaceAtZeroDropsToMin) {
   auto engine = make_engine();
   const std::size_t big = engine->soc().spec().big();
   engine->set_cpufreq_governor(big,
-                               std::make_unique<governors::Powersave>());
+                               std::make_unique<governors::Userspace>(0));
   engine->add_app(workload::bml());
   engine->run(1.0);
   EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
@@ -152,6 +153,23 @@ TEST(Engine, InteractiveRampsUpUnderLoad) {
   engine->run(2.0);
   EXPECT_GT(engine->soc().frequency_hz(big).value(),
             util::mhz_to_hz(1500.0));
+}
+
+TEST(Engine, InteractiveIdlesAtMinWithoutLoad) {
+  auto engine = make_engine();
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  EXPECT_EQ(engine->soc().state(big).opp_index, 0u);
+}
+
+TEST(Engine, DvfsTransitionsAreCounted) {
+  auto engine = make_engine();
+  engine->add_app(workload::threedmark());
+  engine->run(5.0);
+  const std::size_t big = engine->soc().spec().big();
+  // The interactive governor moves at least once off the boot OPP.
+  EXPECT_GE(engine->dvfs_transitions(big), 1u);
+  EXPECT_THROW(engine->dvfs_transitions(99), ConfigError);
 }
 
 TEST(Engine, ThermalGovernorCapsDvfs) {

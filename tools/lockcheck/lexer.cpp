@@ -92,8 +92,9 @@ TokenStream lex(const std::string& source) {
                                  source.compare(i, end - i, "LR") == 0)) {
         std::size_t d = end + 1;
         while (d < n && source[d] != '(') ++d;
-        const std::string close =
-            ")" + source.substr(end + 1, d - end - 1) + "\"";
+        std::string close = ")";
+        close += source.substr(end + 1, d - end - 1);
+        close += '"';
         std::size_t term = source.find(close, d);
         if (term == std::string::npos) term = n - close.size();
         for (std::size_t k = i; k < term + close.size() && k < n; ++k) {
