@@ -48,7 +48,7 @@ int main() {
     }
     std::size_t migrations = 0;
     for (const auto& [t, d] : engine.decisions()) {
-      migrations += d.all_migrated.size();
+      migrations += d.migrated.has_value() ? 1 : 0;
     }
     std::printf("%8.0f degC %14.2f %16.2f %12.1f %12zu\n", ambient_c,
                 p_crit, budget, peak, migrations);

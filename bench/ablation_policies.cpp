@@ -4,14 +4,12 @@
 // (paper Sec. I) on the big cluster.
 //
 // Policies: none, step_wise (uniform 85 degC trips), IPA (kernel default),
-// emergency hotplug, proposed (paper), proposed + budget shedding,
-// proposed + migrate-back.
+// proposed (paper), proposed + migrate-back.
 #include <cstdio>
 #include <memory>
 
 #include "bench_util.h"
 #include "core/appaware.h"
-#include "governors/hotplug.h"
 #include "governors/thermal.h"
 #include "platform/presets.h"
 #include "sim/engine.h"
@@ -29,9 +27,7 @@ enum class Policy {
   kNone,
   kStepWise,
   kIpa,
-  kHotplug,
   kProposed,
-  kProposedShed,
   kProposedMigrateBack
 };
 
@@ -65,19 +61,9 @@ Row run(Policy policy) {
       engine.set_thermal_governor(std::make_unique<governors::IpaGovernor>(
           spec, sim::odroid_ipa_config(spec)));
       break;
-    case Policy::kHotplug: {
-      governors::HotplugGovernor::Config cfg;
-      cfg.cluster = spec.big();
-      cfg.trip_k = util::celsius(85.0);
-      engine.set_hotplug_governor(
-          std::make_unique<governors::HotplugGovernor>(spec, cfg));
-      break;
-    }
     case Policy::kProposed:
-    case Policy::kProposedShed:
     case Policy::kProposedMigrateBack: {
       core::AppAwareConfig cfg = sim::odroid_appaware_config(spec);
-      cfg.shed_until_safe = policy == Policy::kProposedShed;
       cfg.migrate_back = policy == Policy::kProposedMigrateBack;
       engine.set_appaware_governor(
           std::make_unique<core::AppAwareGovernor>(cfg, params));
@@ -111,7 +97,7 @@ Row run(Policy policy) {
                    engine.conflict_time_s(spec.gpu());
   row.migrations = 0;
   for (const auto& [t, d] : engine.decisions()) {
-    row.migrations += d.all_migrated.size();
+    row.migrations += d.migrated.has_value() ? 1 : 0;
   }
   return row;
 }
@@ -132,9 +118,7 @@ int main() {
   print("no thermal management", run(Policy::kNone));
   print("step_wise (85 degC trips)", run(Policy::kStepWise));
   print("IPA (kernel default)", run(Policy::kIpa));
-  print("emergency hotplug", run(Policy::kHotplug));
   print("proposed (paper)", run(Policy::kProposed));
-  print("proposed + budget shed", run(Policy::kProposedShed));
   print("proposed + migrate-back", run(Policy::kProposedMigrateBack));
   std::printf(
       "\nReading: system-wide policies (step_wise/IPA) protect temperature\n"

@@ -4,15 +4,19 @@
 //       Stability analysis at a power level: fixed points, critical power,
 //       safe budget, time to violation.
 //   mobitherm_cli simulate [--app NAME] [--duration S] [--policy P]
-//                          [--platform FILE] [--bml] [--report-limit C]
-//       Run a workload and print the run report. Policies: none, stepwise,
-//       ipa, proposed. --platform loads a platform file (config_io format)
-//       in place of the Odroid preset.
+//                          [--bml] [--report-limit C]
+//       Run a workload on the Odroid-XU3 model and print the run report.
+//       Policies: none, stepwise, ipa, proposed.
 //   mobitherm_cli advise   [--app NAME] [--trip C]
 //       Developer throttling advisory for an app on the Nexus 6P model.
 //   mobitherm_cli apps
 //       List the built-in workloads.
+//
+// A numeric flag whose value is not a whole finite number (or a --duration
+// that is not positive) is reported on stderr with exit status 1.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -20,7 +24,6 @@
 
 #include "core/advisor.h"
 #include "core/appaware.h"
-#include "platform/config_io.h"
 #include "platform/presets.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -36,10 +39,22 @@ namespace {
 
 using namespace mobitherm;
 
+[[noreturn]] void bad_value(const char* flag, const char* value,
+                            const char* why) {
+  std::fprintf(stderr, "invalid value for %s: '%s' (%s)\n", flag, value, why);
+  std::exit(1);
+}
+
 double arg_double(int argc, char** argv, const char* flag, double fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
-      return std::atof(argv[i + 1]);
+      const char* text = argv[i + 1];
+      char* end = nullptr;
+      const double value = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(value)) {
+        bad_value(flag, text, "expected a finite number");
+      }
+      return value;
     }
   }
   return fallback;
@@ -149,27 +164,21 @@ int cmd_simulate(int argc, char** argv) {
     return 1;
   }
   const double duration = arg_double(argc, argv, "--duration", 120.0);
-  const std::string policy = arg_string(argc, argv, "--policy", "none");
-  const std::string platform_file =
-      arg_string(argc, argv, "--platform", "");
-
-  platform::SocSpec soc = platform::exynos5422();
-  thermal::ThermalNetworkSpec net = thermal::odroidxu3_network();
-  if (!platform_file.empty()) {
-    const platform::PlatformDescription desc =
-        platform::load_platform(platform_file);
-    soc = desc.soc;
-    net = desc.network;
-    std::printf("loaded platform '%s' from %s\n", soc.name.c_str(),
-                platform_file.c_str());
+  if (duration <= 0.0) {
+    bad_value("--duration", arg_string(argc, argv, "--duration", "").c_str(),
+              "must be greater than 0");
   }
+  const std::string policy = arg_string(argc, argv, "--policy", "none");
+  const double initial_c = arg_double(argc, argv, "--initial", 50.0);
+  const double limit = arg_double(argc, argv, "--report-limit", 85.0);
+
+  const platform::SocSpec soc = platform::exynos5422();
   const stability::Params params = stability::odroid_xu3_params();
-  sim::Engine engine(soc, net,
+  sim::Engine engine(soc, thermal::odroidxu3_network(),
                      power::LeakageParams{params.leak_theta_k,
                                           params.leak_a_w_per_k2},
                      0.25);
-  engine.set_initial_temperature(util::celsius_to_kelvin(
-      arg_double(argc, argv, "--initial", 50.0)));
+  engine.set_initial_temperature(util::celsius_to_kelvin(initial_c));
 
   if (policy == "stepwise") {
     engine.set_thermal_governor(std::make_unique<governors::StepWiseGovernor>(
@@ -194,11 +203,10 @@ int cmd_simulate(int argc, char** argv) {
               app->name.c_str(), duration, policy.c_str());
   engine.run(duration);
 
-  const double limit = arg_double(argc, argv, "--report-limit", 85.0);
   std::printf("%s", sim::format_report(sim::make_report(engine, limit)).c_str());
   std::size_t migrations = 0;
   for (const auto& [t, d] : engine.decisions()) {
-    migrations += d.all_migrated.size();
+    migrations += d.migrated.has_value() ? 1 : 0;
   }
   if (migrations > 0) {
     std::printf("governor migrations: %zu\n", migrations);
@@ -257,8 +265,7 @@ int main(int argc, char** argv) {
               "  analyze  [--power W] [--ambient C] [--limit C]\n"
               "  simulate [--app NAME] [--duration S] [--policy none|"
               "stepwise|ipa|proposed]\n"
-              "           [--platform FILE] [--bml] [--initial C] "
-              "[--report-limit C]\n"
+              "           [--bml] [--initial C] [--report-limit C]\n"
               "  advise   [--app NAME] [--trip C]\n"
               "  apps\n");
   return command == "help" ? 0 : 1;

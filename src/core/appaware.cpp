@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stability/safety.h"
 #include "thermal/lumped.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -61,31 +60,18 @@ AppAwareDecision AppAwareGovernor::update(sched::Scheduler& scheduler,
   }
 
   if (d.violation_predicted) {
-    // Penalize only the most power-hungry non-realtime process(es).
-    double shed_needed = 0.0;
-    if (config_.shed_until_safe) {
-      shed_needed = d.p_dyn_estimate_w -
-                    stability::safe_power(params_, config_.temp_limit_k);
-    }
-    double shed_so_far = 0.0;
-    do {
-      const std::optional<sched::Pid> victim =
-          scheduler.top_power_process(config_.big_cluster);
-      if (!victim.has_value()) {
-        break;
-      }
-      shed_so_far += scheduler.process(*victim).windowed_power_w();
+    // Penalize only the most power-hungry non-realtime process.
+    const std::optional<sched::Pid> victim =
+        scheduler.top_power_process(config_.big_cluster);
+    if (victim.has_value()) {
       scheduler.migrate(*victim, config_.little_cluster);
       parked_.push_back(*victim);
-      if (!d.migrated.has_value()) {
-        d.migrated = victim;
-      }
-      d.all_migrated.push_back(*victim);
+      d.migrated = victim;
       MOBITHERM_INFO("appaware: migrated pid "
                      << *victim << " to LITTLE (fixed point "
                      << fp.stable_temp_k - 273.15 << " degC, t_violation "
                      << d.time_to_violation_s << " s)");
-    } while (config_.shed_until_safe && shed_so_far < shed_needed);
+    }
   } else if (config_.migrate_back && !parked_.empty()) {
     // Extension: un-park the most recent victim if adding its windowed
     // power back keeps the fixed point comfortably below the limit.

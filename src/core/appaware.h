@@ -46,11 +46,6 @@ struct AppAwareConfig {
   bool migrate_back = false;
   /// Headroom (K) below the limit required before migrating back.
   double migrate_back_margin_k = 5.0;
-  /// Extension: instead of one victim per period, shed victims until the
-  /// estimated remaining power fits the safe-power budget for the limit
-  /// (stability::safe_power). The paper migrates one process per 100 ms;
-  /// budget shedding reacts in a single period.
-  bool shed_until_safe = false;
 };
 
 /// One control decision, for tracing and tests.
@@ -60,10 +55,7 @@ struct AppAwareDecision {
   double fixed_point_temp_k = 0.0;   // NaN if unstable
   double time_to_violation_s = 0.0;  // time until temp limit is crossed
   bool violation_predicted = false;
-  std::optional<sched::Pid> migrated;        // to LITTLE (first victim)
-  /// All victims migrated this period (== {migrated} unless
-  /// shed_until_safe picked several).
-  std::vector<sched::Pid> all_migrated;
+  std::optional<sched::Pid> migrated;        // to LITTLE
   std::optional<sched::Pid> migrated_back;   // back to big (extension)
 };
 

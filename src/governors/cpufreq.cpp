@@ -13,15 +13,7 @@ Interactive::Interactive() : config_(Config{}) {}
 std::size_t Ondemand::decide(const CpufreqInputs& in,
                              const platform::OppTable& table) {
   if (in.utilization >= config_.up_threshold) {
-    hold_remaining_ = config_.sampling_down_factor;
     return table.max_index();
-  }
-  // sampling_down_factor: hold max for a few periods after a burst.
-  if (hold_remaining_ > 0 && in.current_index == table.max_index()) {
-    --hold_remaining_;
-    if (hold_remaining_ > 0) {
-      return table.max_index();
-    }
   }
   // Lowest frequency that would bring utilization to the up-threshold.
   const util::Hertz cur_freq = table.at(in.current_index).freq_hz;

@@ -47,7 +47,6 @@ class Userspace final : public CpufreqGovernor {
  public:
   explicit Userspace(std::size_t index) : index_(index) {}
   const char* name() const override { return "userspace"; }
-  void set_index(std::size_t index) { index_ = index; }
   std::size_t decide(const CpufreqInputs&,
                      const platform::OppTable& table) override {
     return std::min(index_, table.max_index());
@@ -64,10 +63,6 @@ class Ondemand final : public CpufreqGovernor {
   struct Config {
     double up_threshold = 0.80;
     util::Seconds sampling_period_s{0.05};
-    /// Kernel sampling_down_factor: after jumping to max, hold it for this
-    /// many sampling periods before allowing a drop (avoids thrashing on
-    /// bursty loads).
-    int sampling_down_factor = 1;
   };
   Ondemand();
   explicit Ondemand(Config config) : config_(config) {}
@@ -80,7 +75,6 @@ class Ondemand final : public CpufreqGovernor {
 
  private:
   Config config_;
-  int hold_remaining_ = 0;
 };
 
 /// Android interactive: jump to hispeed_freq on high load, raise further

@@ -8,13 +8,6 @@ namespace mobitherm::governors {
 
 using util::ConfigError;
 
-std::vector<std::size_t> ThermalGovernor::caps(
-    std::size_t num_clusters) const {
-  std::vector<std::size_t> out;
-  caps_into(num_clusters, out);
-  return out;
-}
-
 void ThermalGovernor::caps_into(std::size_t num_clusters,
                                 std::vector<std::size_t>& out) const {
   out.resize(num_clusters);
@@ -100,13 +93,6 @@ std::size_t StepWiseGovernor::cap_index(std::size_t cluster) const {
   return cap;
 }
 
-std::size_t StepWiseGovernor::zone_state(std::size_t z) const {
-  if (z >= state_.size()) {
-    throw ConfigError("StepWiseGovernor: zone index out of range");
-  }
-  return state_[z];
-}
-
 IpaGovernor::IpaGovernor(const platform::SocSpec& spec, Config config)
     : config_(std::move(config)) {
   const std::size_t n = spec.clusters.size();
@@ -144,7 +130,6 @@ void IpaGovernor::update(const ThermalContext& ctx) {
   util::Watt budget =
       config_.sustainable_power_w + k_p * err + integral_;
   budget = std::max(budget, util::watts(0.0));
-  last_budget_w_ = budget;
 
   // Each actor requests the power it would draw at its cpufreq-requested
   // OPP with its current activity.

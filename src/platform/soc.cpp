@@ -86,14 +86,6 @@ void Soc::set_opp(std::size_t c, std::size_t opp_index) {
   states_[c].opp_index = opp_index;
 }
 
-void Soc::set_online_cores(std::size_t c, int cores) {
-  check_cluster(c);
-  if (cores < 0 || cores > spec_.clusters[c].num_cores) {
-    throw ConfigError("Soc::set_online_cores: count out of range");
-  }
-  states_[c].online_cores = cores;
-}
-
 util::Hertz Soc::frequency_hz(std::size_t c) const {
   check_cluster(c);
   return spec_.clusters[c].opps.at(states_[c].opp_index).freq_hz;

@@ -68,7 +68,7 @@ struct SocSpec {
   std::size_t gpu() const { return index_of_kind(ResourceKind::kGpu); }
 };
 
-/// Runtime DVFS/hotplug state of one cluster.
+/// Runtime DVFS state of one cluster.
 struct ClusterState {
   std::size_t opp_index = 0;
   int online_cores = 0;
@@ -88,9 +88,6 @@ class Soc {
 
   /// Set the OPP index; throws ConfigError if out of range.
   void set_opp(std::size_t c, std::size_t opp_index);
-
-  /// Set the number of online cores in [0, num_cores].
-  void set_online_cores(std::size_t c, int cores);
 
   util::Hertz frequency_hz(std::size_t c) const;
   util::Volt voltage_v(std::size_t c) const;

@@ -108,7 +108,6 @@ Engine::Engine(platform::SocSpec soc_spec,
     daq_observer_ = std::make_unique<DaqObserver>(dc);
     observers_.push_back(daq_observer_.get());
   }
-  num_builtin_observers_ = observers_.size();
 }
 
 std::size_t Engine::add_app(const workload::AppSpec& spec,
@@ -167,42 +166,11 @@ void Engine::set_appaware_governor(
   appaware_accum_ = 0.0;
 }
 
-void Engine::set_hotplug_governor(
-    std::unique_ptr<governors::HotplugGovernor> gov) {
-  hotplug_ = std::move(gov);
-  hotplug_accum_ = 0.0;
-}
-
-void Engine::enable_skin_estimator(thermal::SkinModelParams params) {
-  skin_.emplace(params);
-  skin_->reset(network_.temperature(board_node_));
-}
-
 void Engine::add_observer(SimObserver* observer) {
   if (observer == nullptr) {
     throw ConfigError("Engine: null observer");
   }
   observers_.push_back(observer);
-}
-
-void Engine::remove_observer(SimObserver* observer) {
-  for (std::size_t i = num_builtin_observers_; i < observers_.size(); ++i) {
-    if (observers_[i] == observer) {
-      observers_.erase(observers_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-std::size_t Engine::num_observers() const {
-  return observers_.size() - num_builtin_observers_;
-}
-
-double Engine::skin_temp_k() const {
-  if (!skin_.has_value()) {
-    throw ConfigError("Engine: skin estimator not enabled");
-  }
-  return skin_->skin_temp_k().value();
 }
 
 double Engine::conflict_time_s(std::size_t cluster) const {
@@ -408,12 +376,9 @@ void Engine::stage_power(TickContext& ctx) {
   power_window_.push(ctx.dt, ctx.total_power_w);
 }
 
-// Thermal step (RC network + skin estimator).
+// Thermal step (RC network).
 void Engine::stage_thermal(TickContext& ctx) {
   network_.step(node_power_, util::seconds(ctx.dt));
-  if (skin_.has_value()) {
-    skin_->step(network_.temperature(board_node_), util::seconds(ctx.dt));
-  }
   ctx.max_chip_temp_k = 0.0;
   for (std::size_t node = 0; node < network_.num_nodes(); ++node) {
     if (node != board_node_) {
@@ -504,21 +469,6 @@ void Engine::stage_governors(TickContext& ctx) {
       e.kind = GovernorKind::kAppAware;
       e.governor = appaware_->name();
       e.decision = &d;
-      publish_governor_decision(e);
-    }
-  }
-  if (hotplug_) {
-    hotplug_accum_ += dt;
-    if (hotplug_accum_ + 1e-12 >= hotplug_->polling_period_s().value()) {
-      const int cores = hotplug_->update(util::kelvin(control_temp_k()));
-      soc_.set_online_cores(hotplug_->config().cluster, cores);
-      hotplug_accum_ = 0.0;
-
-      GovernorDecisionEvent e;
-      e.t_s = now_;
-      e.kind = GovernorKind::kHotplug;
-      e.governor = hotplug_->name();
-      e.target_cores = cores;
       publish_governor_decision(e);
     }
   }

@@ -27,7 +27,6 @@
 
 #include "core/appaware.h"
 #include "governors/cpufreq.h"
-#include "governors/hotplug.h"
 #include "governors/thermal.h"
 #include "platform/soc.h"
 #include "power/model.h"
@@ -38,7 +37,6 @@
 #include "sim/trace.h"
 #include "thermal/network.h"
 #include "thermal/sensors.h"
-#include "thermal/skin.h"
 #include "util/sliding_window.h"
 #include "workload/app.h"
 
@@ -102,11 +100,6 @@ class Engine {
                             std::unique_ptr<governors::CpufreqGovernor> gov);
   void set_thermal_governor(std::unique_ptr<governors::ThermalGovernor> gov);
   void set_appaware_governor(std::unique_ptr<core::AppAwareGovernor> gov);
-  void set_hotplug_governor(std::unique_ptr<governors::HotplugGovernor> gov);
-
-  /// Enable the first-order skin-temperature estimator, fed from the board
-  /// node. skin_temp_k() returns the estimate afterwards.
-  void enable_skin_estimator(thermal::SkinModelParams params);
 
   // --- observer bus -------------------------------------------------------
 
@@ -114,12 +107,6 @@ class Engine {
   /// Observers are notified in attachment order, after the built-in
   /// instrumentation observers.
   void add_observer(SimObserver* observer);
-
-  /// Detach a previously attached external observer (no-op if absent).
-  void remove_observer(SimObserver* observer);
-
-  /// Number of externally attached observers.
-  std::size_t num_observers() const;
 
   // --- execution ----------------------------------------------------------
 
@@ -178,11 +165,6 @@ class Engine {
   governors::ThermalGovernor* thermal_governor() {
     return thermal_gov_.get();
   }
-  governors::HotplugGovernor* hotplug_governor() { return hotplug_.get(); }
-
-  /// Estimated skin temperature (K); throws if the estimator is disabled.
-  double skin_temp_k() const;
-  bool has_skin_estimator() const { return skin_.has_value(); }
 
   /// Governor-contradiction accounting (paper Sec. I: "the outputs of the
   /// thermal and frequency governors may contradict each other"): time the
@@ -234,7 +216,7 @@ class Engine {
   void stage_allocate(TickContext& ctx);     // scheduler + frame accounting
   void stage_contention(TickContext& ctx);   // DRAM bandwidth stalls
   void stage_power(TickContext& ctx);        // activities -> cluster power
-  void stage_thermal(TickContext& ctx);      // RC network + skin step
+  void stage_thermal(TickContext& ctx);      // RC network step
   void stage_sensors(TickContext& ctx);      // sensor sampling
   void stage_residency(TickContext& ctx);    // time-in-state accrual
   void stage_governors(TickContext& ctx);    // periodic governor decisions
@@ -277,11 +259,6 @@ class Engine {
   std::unique_ptr<core::AppAwareGovernor> appaware_;
   double appaware_accum_ = 0.0;
 
-  std::unique_ptr<governors::HotplugGovernor> hotplug_;
-  double hotplug_accum_ = 0.0;
-
-  std::optional<thermal::SkinEstimator> skin_;
-
   std::vector<bool> in_conflict_;
   double last_mem_bw_gbps_ = 0.0;
   double last_mem_stall_ = 0.0;
@@ -296,7 +273,6 @@ class Engine {
   std::unique_ptr<DvfsTransitionCounter> dvfs_counter_;
   std::unique_ptr<DaqObserver> daq_observer_;
   std::vector<SimObserver*> observers_;
-  std::size_t num_builtin_observers_ = 0;
 
   // Per-tick scratch hoisted out of TickContext (sized at construction,
   // reused every tick; see the hot-path allocation policy in DESIGN.md).

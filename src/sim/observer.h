@@ -44,7 +44,7 @@ struct TickInfo {
 };
 
 /// Which governor produced a decision.
-enum class GovernorKind { kCpufreq, kThermal, kAppAware, kHotplug };
+enum class GovernorKind { kCpufreq, kThermal, kAppAware };
 
 /// One governor invocation at its own polling period.
 struct GovernorDecisionEvent {
@@ -60,8 +60,6 @@ struct GovernorDecisionEvent {
   const std::vector<std::size_t>* thermal_caps = nullptr;
   /// Full decision record (app-aware only).
   const core::AppAwareDecision* decision = nullptr;
-  /// New online-core target (hotplug only; -1 otherwise).
-  int target_cores = -1;
 };
 
 /// One applied OPP change on a cluster.

@@ -101,10 +101,6 @@ TEST(Soc, CapacityScalesWithCoresAndIpc) {
   soc.set_opp(big, soc.cluster(big).opps.max_index());
   // A15: ipc 2.0, 2.0 GHz, 4 cores -> 16e9 units/s.
   EXPECT_NEAR(soc.capacity(big), 16.0e9, 1e6);
-  soc.set_online_cores(big, 2);
-  EXPECT_NEAR(soc.capacity(big), 8.0e9, 1e6);
-  EXPECT_THROW(soc.set_online_cores(big, 5), ConfigError);
-  EXPECT_THROW(soc.set_online_cores(big, -1), ConfigError);
 }
 
 TEST(Soc, KindLookupHelpers) {

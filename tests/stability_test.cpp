@@ -9,6 +9,7 @@
 #include "stability/calibrate.h"
 #include "stability/fixed_point.h"
 #include "stability/presets.h"
+#include "stability/safety.h"
 #include "stability/trajectory.h"
 #include "thermal/lumped.h"
 #include "util/error.h"
@@ -396,6 +397,64 @@ TEST(Presets, NexusSpreadsHeatBetterThanOdroid) {
   // And correspondingly tolerates more power before runaway.
   EXPECT_GT(critical_power(nexus6p_params(), 100.0),
             critical_power(odroid()));
+}
+
+// --- safe_power ----------------------------------------------------------------------
+
+TEST(SafePower, FixedPointAtBudgetEqualsLimit) {
+  const Params p = odroid_xu3_params();
+  const double limit = util::celsius_to_kelvin(85.0);
+  const double budget = safe_power(p, limit);
+  EXPECT_GT(budget, 0.0);
+  EXPECT_LT(budget, critical_power(p));
+  EXPECT_NEAR(stable_temperature(p, budget), limit, 0.01);
+}
+
+TEST(SafePower, MonotoneInLimit) {
+  const Params p = odroid_xu3_params();
+  double prev = 0.0;
+  for (double limit_c = 50.0; limit_c <= 120.0; limit_c += 10.0) {
+    const double budget = safe_power(p, util::celsius_to_kelvin(limit_c));
+    EXPECT_GE(budget, prev) << limit_c;
+    prev = budget;
+  }
+}
+
+TEST(SafePower, CappedByCriticalPower) {
+  const Params p = odroid_xu3_params();
+  // A limit hotter than the critical temperature cannot buy more than the
+  // critical power.
+  const double budget = safe_power(p, 500.0);
+  EXPECT_LE(budget, critical_power(p) + 1e-6);
+}
+
+TEST(SafePower, ZeroAtOrBelowAmbient) {
+  const Params p = odroid_xu3_params();
+  EXPECT_DOUBLE_EQ(safe_power(p, p.t_ambient_k.value()), 0.0);
+  EXPECT_DOUBLE_EQ(safe_power(p, p.t_ambient_k.value() - 10.0), 0.0);
+}
+
+TEST(SafePower, HeadroomSigns) {
+  const Params p = odroid_xu3_params();
+  const double limit = util::celsius_to_kelvin(85.0);
+  const double budget = safe_power(p, limit);
+  EXPECT_GT(power_headroom(p, limit, budget - 0.5), 0.0);
+  EXPECT_LT(power_headroom(p, limit, budget + 0.5), 0.0);
+}
+
+TEST(SafePower, AssessConsistency) {
+  const Params p = odroid_xu3_params();
+  const double limit = util::celsius_to_kelvin(85.0);
+  const SafetyReport ok = assess(p, limit, 2.0);
+  EXPECT_TRUE(ok.sustainable);
+  EXPECT_GT(ok.headroom_w, 0.0);
+  const SafetyReport bad = assess(p, limit, 5.0);
+  EXPECT_FALSE(bad.sustainable);
+  EXPECT_LT(bad.headroom_w, 0.0);
+  const SafetyReport runaway = assess(p, limit, 8.0);
+  EXPECT_EQ(runaway.cls, StabilityClass::kUnstable);
+  EXPECT_FALSE(runaway.sustainable);
+  EXPECT_THROW(assess(p, limit, -1.0), NumericError);
 }
 
 }  // namespace
