@@ -39,13 +39,18 @@
 //                        malformed pack aborts startup (exit 2) — nothing
 //                        registers partially.
 //
+// Numeric values must be finite, non-negative and in range, and counts
+// and ports whole numbers; anything else exits 2 ("bad value for FLAG").
+//
 // scripts/serve_client.py wraps this binary for interactive use, the CI
 // cache smoke test (--smoke) and the fault-injection smoke test
 // (--fault-smoke) — over either transport.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -60,8 +65,21 @@
 
 namespace {
 
-bool parse_flag(int argc, char** argv, int* i, const char* name,
-                double* value) {
+// Largest value of each flag whose conversion in main() is exact and
+// defined: unsigned and int flags up to their type's maximum, size_t flags
+// up to 2^53 (beyond it a double no longer holds every whole number), and
+// deadlines up to 1e9 s, whose nanosecond count fits steady_clock.
+constexpr double kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr double kMaxInt = std::numeric_limits<int>::max();
+constexpr double kMaxSize = 9007199254740992.0;
+constexpr double kMaxPort = 65535.0;
+constexpr double kMaxDeadlineS = 1e9;
+
+// Reads the value of flag `name` as a finite number in [0, max] — a whole
+// number when `whole` is set — and exits 2 with "bad value for FLAG"
+// otherwise, so every cast in main() is exact and defined.
+bool parse_flag(int argc, char** argv, int* i, const char* name, double max,
+                bool whole, double* value) {
   if (std::string(argv[*i]) != name) {
     return false;
   }
@@ -71,7 +89,8 @@ bool parse_flag(int argc, char** argv, int* i, const char* name,
   }
   char* end = nullptr;
   *value = std::strtod(argv[*i + 1], &end);
-  if (end == argv[*i + 1] || *end != '\0' || *value < 0) {
+  if (end == argv[*i + 1] || *end != '\0' || !std::isfinite(*value) ||
+      *value < 0 || *value > max || (whole && *value != std::floor(*value))) {
     std::fprintf(stderr, "mobitherm_serve: bad value for %s: %s\n", name,
                  argv[*i + 1]);
     std::exit(2);
@@ -113,17 +132,21 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--listen") {
       listen = true;
-      if (!parse_flag(argc, argv, &i, "--listen", &listen_port)) {
+      if (!parse_flag(argc, argv, &i, "--listen", kMaxPort, true,
+                      &listen_port)) {
         return 2;  // unreachable: parse_flag exits on a bad value
       }
       continue;
     }
-    if (parse_flag(argc, argv, &i, "--workers", &workers) ||
-        parse_flag(argc, argv, &i, "--queue", &queue) ||
-        parse_flag(argc, argv, &i, "--cache", &cache) ||
-        parse_flag(argc, argv, &i, "--deadline", &deadline) ||
-        parse_flag(argc, argv, &i, "--retries", &retries) ||
-        parse_flag(argc, argv, &i, "--shards", &shards) ||
+    if (parse_flag(argc, argv, &i, "--workers", kMaxUnsigned, true,
+                   &workers) ||
+        parse_flag(argc, argv, &i, "--queue", kMaxSize, true, &queue) ||
+        parse_flag(argc, argv, &i, "--cache", kMaxSize, true, &cache) ||
+        parse_flag(argc, argv, &i, "--deadline", kMaxDeadlineS, false,
+                   &deadline) ||
+        parse_flag(argc, argv, &i, "--retries", kMaxInt, true, &retries) ||
+        parse_flag(argc, argv, &i, "--shards", kMaxUnsigned, true,
+                   &shards) ||
         parse_string_flag(argc, argv, &i, "--fault", &fault_spec) ||
         parse_string_flag(argc, argv, &i, "--packs", &packs_dir)) {
       continue;

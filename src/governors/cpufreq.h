@@ -56,52 +56,29 @@ class Userspace final : public CpufreqGovernor {
   std::size_t index_;
 };
 
-/// Classic ondemand: jump to max above the up-threshold, otherwise pick the
-/// lowest frequency that keeps utilization at ~up_threshold.
+/// Classic ondemand: jump to max above the up-threshold (0.80), otherwise
+/// pick the lowest frequency that keeps utilization at ~up-threshold.
+/// Sampled every 50 ms.
 class Ondemand final : public CpufreqGovernor {
  public:
-  struct Config {
-    double up_threshold = 0.80;
-    util::Seconds sampling_period_s{0.05};
-  };
-  Ondemand();
-  explicit Ondemand(Config config) : config_(config) {}
   const char* name() const override { return "ondemand"; }
-  util::Seconds sampling_period_s() const override {
-    return config_.sampling_period_s;
-  }
+  util::Seconds sampling_period_s() const override;
   std::size_t decide(const CpufreqInputs& in,
                      const platform::OppTable& table) override;
-
- private:
-  Config config_;
 };
 
-/// Android interactive: jump to hispeed_freq on high load, raise further
-/// only after above_hispeed_delay, and hold speed for min_sample_time
-/// before dropping. This is the Nexus 6P default of Sec. III.
+/// Android interactive: jump to hispeed_freq (80% of f_max) on load >= 85%,
+/// raise further only after above_hispeed_delay (20 ms), size the OPP for a
+/// 90% target load, and hold speed for min_sample_time (80 ms) before
+/// dropping. Sampled every 20 ms. This is the Nexus 6P default of Sec. III.
 class Interactive final : public CpufreqGovernor {
  public:
-  struct Config {
-    double go_hispeed_load = 0.85;
-    /// Fraction of f_max used as hispeed_freq.
-    double hispeed_fraction = 0.80;
-    double target_load = 0.90;
-    util::Seconds above_hispeed_delay_s{0.02};
-    util::Seconds min_sample_time_s{0.08};
-    util::Seconds sampling_period_s{0.02};
-  };
-  Interactive();
-  explicit Interactive(Config config) : config_(config) {}
   const char* name() const override { return "interactive"; }
-  util::Seconds sampling_period_s() const override {
-    return config_.sampling_period_s;
-  }
+  util::Seconds sampling_period_s() const override;
   std::size_t decide(const CpufreqInputs& in,
                      const platform::OppTable& table) override;
 
  private:
-  Config config_;
   util::Seconds time_above_hispeed_{};
   util::Seconds time_since_raise_{};
 };

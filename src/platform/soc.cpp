@@ -57,13 +57,13 @@ Soc::Soc(SocSpec spec) : spec_(std::move(spec)) {
     if (c.num_cores <= 0) {
       throw ConfigError("Soc: cluster " + c.name + " has no cores");
     }
-    if (c.ipc <= 0.0) {
+    if (!(c.ipc > 0.0)) {
       throw ConfigError("Soc: cluster " + c.name + " has non-positive ipc");
     }
     if (c.opps.size() == 0) {
       throw ConfigError("Soc: cluster " + c.name + " has an empty OPP table");
     }
-    states_.push_back(ClusterState{0, c.num_cores});
+    states_.push_back(ClusterState{0});
   }
 }
 
@@ -98,7 +98,7 @@ util::Volt Soc::voltage_v(std::size_t c) const {
 
 double Soc::capacity(std::size_t c) const {
   check_cluster(c);
-  return per_core_rate(c) * states_[c].online_cores;
+  return per_core_rate(c) * spec_.clusters[c].num_cores;
 }
 
 double Soc::per_core_rate(std::size_t c) const {

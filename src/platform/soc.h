@@ -2,7 +2,7 @@
 //
 // A SocSpec lists the clusters of a heterogeneous SoC (LITTLE CPU, big CPU,
 // GPU, and a memory pseudo-cluster for the DRAM rail). The runtime Soc
-// object tracks each cluster's current OPP index and online core count.
+// object tracks each cluster's current OPP index.
 #pragma once
 
 #include <cstddef>
@@ -71,11 +71,10 @@ struct SocSpec {
 /// Runtime DVFS state of one cluster.
 struct ClusterState {
   std::size_t opp_index = 0;
-  int online_cores = 0;
 };
 
 /// Runtime SoC: spec plus mutable per-cluster state. Clusters start at
-/// their lowest OPP with all cores online.
+/// their lowest OPP; every core of a cluster is always online.
 class Soc {
  public:
   explicit Soc(SocSpec spec);
@@ -93,7 +92,7 @@ class Soc {
   util::Volt voltage_v(std::size_t c) const;
 
   /// Total work units/s the cluster can retire at its current OPP
-  /// (ipc * freq * online_cores).
+  /// (ipc * freq * num_cores).
   double capacity(std::size_t c) const;
 
   /// Work units/s available to a single thread (ipc * freq).

@@ -41,10 +41,9 @@ ClusterPower PowerModel::cluster_power(const platform::Soc& soc,
                                        std::size_t c,
                                        const ClusterActivity& activity) const {
   const platform::ClusterSpec& cs = soc.cluster(c);
-  const platform::ClusterState& st = soc.state(c);
   if (activity.busy_cores < -1e-9 ||
-      activity.busy_cores > st.online_cores + 1e-9) {
-    throw ConfigError("PowerModel: busy_cores out of [0, online] for " +
+      activity.busy_cores > cs.num_cores + 1e-9) {
+    throw ConfigError("PowerModel: busy_cores out of [0, num_cores] for " +
                       cs.name);
   }
   const util::Volt v = soc.voltage_v(c);
@@ -52,7 +51,7 @@ ClusterPower PowerModel::cluster_power(const platform::Soc& soc,
 
   ClusterPower p;
   p.dynamic_w = activity.busy_cores * cs.ceff_f * v * v * f;
-  p.idle_w = st.online_cores > 0 ? cs.idle_power_w : util::watts(0.0);
+  p.idle_w = cs.idle_power_w;
   const util::Kelvin t = activity.temp_k;
   // The baseline branch keeps the original expression (and evaluation
   // order) exactly: regression traces pin the baseline model bitwise.

@@ -50,7 +50,7 @@ struct LeakageParams {
 
 /// Per-cluster inputs for one power evaluation.
 struct ClusterActivity {
-  /// Busy cores, fractional, in [0, online_cores].
+  /// Busy cores, fractional, in [0, num_cores].
   double busy_cores = 0.0;
   /// Absolute temperature of the cluster's thermal node.
   util::Kelvin temp_k{300.0};
@@ -73,13 +73,11 @@ class PowerModel {
   PowerModel(const platform::SocSpec& spec, LeakageParams leakage,
              util::Watt board_base_w = {});
 
-  const LeakageParams& leakage_params() const { return leakage_; }
-
   /// Constant platform power (regulators, display path, ...) attributed to
   /// the board node; not part of any measured rail.
   util::Watt board_base_w() const { return board_base_w_; }
 
-  /// Power of cluster `c` at the OPP/online state in `soc` under the given
+  /// Power of cluster `c` at the OPP state in `soc` under the given
   /// activity.
   ClusterPower cluster_power(const platform::Soc& soc, std::size_t c,
                              const ClusterActivity& activity) const;

@@ -36,7 +36,6 @@ void RailSensor::feed(double dt, double watts) {
     last_sample_w_ = sample;
     has_sample_ = true;
     window_.push(period_s, sample);
-    sampled_energy_j_ += sample * period_s;
     accum_time_ -= period_s;
     accum_energy_ = watts * accum_time_;
   }

@@ -42,10 +42,6 @@ class RailSensor {
   /// Duration-weighted mean of latched samples over the trailing 1 s.
   double windowed_w() const { return window_.mean(last_sample_w_); }
 
-  /// Energy integral of the *sampled* power (what a userspace daemon
-  /// polling the sensor would compute).
-  double sampled_energy_j() const { return sampled_energy_j_; }
-
   const std::string& name() const { return config_.name; }
 
  private:
@@ -55,7 +51,6 @@ class RailSensor {
   double accum_time_ = 0.0;
   double accum_energy_ = 0.0;
   double last_sample_w_ = 0.0;
-  double sampled_energy_j_ = 0.0;
   bool has_sample_ = false;
 };
 

@@ -12,8 +12,7 @@ Scheduler::Scheduler(const platform::SocSpec& spec, double window_s)
     : num_clusters_(spec.clusters.size()),
       window_s_(window_s),
       cluster_busy_cores_(num_clusters_, 0.0),
-      governor_util_(num_clusters_, 0.0),
-      capacity_penalty_(num_clusters_, 0.0) {
+      governor_util_(num_clusters_, 0.0) {
   if (num_clusters_ == 0) {
     throw ConfigError("Scheduler: SoC has no clusters");
   }
@@ -72,12 +71,11 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
   std::fill(cluster_busy_cores_.begin(), cluster_busy_cores_.end(), 0.0);
 
   for (std::size_t c = 0; c < num_clusters_; ++c) {
-    // A pending DVFS-transition penalty shrinks this interval's usable
-    // rate; it is consumed by this allocation.
-    const double avail = 1.0 - capacity_penalty_[c];
-    capacity_penalty_[c] = 0.0;
-    const double per_core = soc.per_core_rate(c) * avail;
-    const int online = soc.state(c).online_cores;
+    // Both factors are positive (Soc rejects ipc <= 0 and clusters with no
+    // cores; OppTable rejects freq <= 0), so capacity and per_core never
+    // need a zero guard.
+    const double per_core = soc.per_core_rate(c);
+    const int online = soc.cluster(c).num_cores;
     const double capacity = per_core * online;
 
     // Pass 1: each process's standalone cap (parallelism-limited demand).
@@ -97,20 +95,18 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
 
     // Pass 2: scale down proportionally under contention.
     const double scale =
-        (capacity > 0.0 && total_capped > capacity) ? capacity / total_capped
-                                                    : 1.0;
+        total_capped > capacity ? capacity / total_capped : 1.0;
     for (auto& [pid, proc] : processes_) {
       if (proc.cluster() != c) {
         continue;
       }
       const double cap = per_core * std::min(proc.spec().threads, online);
-      const double granted =
-          capacity > 0.0 ? std::min(proc.demand_rate(), cap) * scale : 0.0;
-      const double busy = per_core > 0.0 ? granted / per_core : 0.0;
+      const double granted = std::min(proc.demand_rate(), cap) * scale;
+      const double busy = granted / per_core;
       proc.record_allocation(dt, granted, busy);
       cluster_busy_cores_[c] += busy;
     }
-    // Clamp accumulated rounding just above the online-core count.
+    // Clamp accumulated rounding just above the core count.
     cluster_busy_cores_[c] =
         std::min(cluster_busy_cores_[c], static_cast<double>(online));
 
@@ -119,12 +115,11 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
     // most saturated process (a batch task pinning one core at 100% must
     // read ~1.0 even if the rest of the cluster idles).
     const int governed_cores = std::min(online, demanding_threads);
-    double util = governed_cores > 0 && per_core > 0.0
+    double util = governed_cores > 0
                       ? std::min(1.0, cluster_busy_cores_[c] / governed_cores)
                       : 0.0;
     for (const auto& [pid, proc] : processes_) {
-      if (proc.cluster() != c || proc.demand_rate() <= 0.0 ||
-          per_core <= 0.0 || online == 0) {
+      if (proc.cluster() != c || proc.demand_rate() <= 0.0) {
         continue;
       }
       const double cap = per_core * std::min(proc.spec().threads, online);
@@ -132,16 +127,6 @@ void Scheduler::allocate(const platform::Soc& soc, double dt) {
     }
     governor_util_[c] = util;
   }
-}
-
-void Scheduler::set_capacity_penalty(std::size_t c, double fraction) {
-  if (c >= num_clusters_) {
-    throw ConfigError("Scheduler: cluster index out of range");
-  }
-  if (fraction < 0.0 || fraction > 1.0) {
-    throw ConfigError("Scheduler: penalty fraction out of [0, 1]");
-  }
-  capacity_penalty_[c] = std::max(capacity_penalty_[c], fraction);
 }
 
 double Scheduler::governor_utilization(std::size_t c) const {

@@ -61,11 +61,6 @@ class Scheduler {
   /// cluster's busy cores (records into each process's power window).
   void attribute_power(std::size_t c, double cluster_dynamic_w, double dt);
 
-  /// One-shot capacity penalty for the next allocation on cluster `c`
-  /// (fraction of the allocation interval lost, e.g. to a DVFS voltage
-  /// transition). Cleared after the next allocate().
-  void set_capacity_penalty(std::size_t c, double fraction);
-
   /// The busiest non-realtime process on `cluster` by windowed power;
   /// nullopt if none. Used by the application-aware governor to pick its
   /// migration victim.
@@ -82,7 +77,6 @@ class Scheduler {
   std::map<Pid, Process> processes_;
   std::vector<double> cluster_busy_cores_;
   std::vector<double> governor_util_;
-  std::vector<double> capacity_penalty_;
 };
 
 }  // namespace mobitherm::sched

@@ -17,6 +17,10 @@ namespace mobitherm::service {
 
 NetServer::NetServer(SimServer& server, NetServerConfig config)
     : server_(server), config_(std::move(config)) {
+  if (config_.port < 0 || config_.port > 65535) {
+    throw util::ConfigError("listen port out of [0, 65535]: " +
+                            std::to_string(config_.port));
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     throw util::ConfigError(std::string("socket: ") + std::strerror(errno));

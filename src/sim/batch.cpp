@@ -115,10 +115,8 @@ std::vector<BatchRecord> BatchRunner::run(std::size_t runs,
     if (!engine) {
       throw util::ConfigError("BatchRunner: factory returned null engine");
     }
-    MetricsObserver tap(metrics);
-    engine->add_observer(&tap);
     engine->run(duration_s);
-    rec.metrics = tap.metrics(*engine);
+    rec.metrics = summarize_run(*engine, metrics);
     rec.report = make_report(*engine, metrics.temp_limit_c);
     rec.wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)

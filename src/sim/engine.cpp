@@ -15,6 +15,20 @@ using util::ConfigError;
 
 namespace {
 
+/// Fixed simulation step (s) and decimated trace period (s).
+constexpr double kTickS = 0.001;
+constexpr double kTracePeriodS = 0.1;
+/// Per-node temperature sensors and per-cluster rail sensors: sampling
+/// period (s) and Gaussian noise (K, W).
+constexpr double kTempSensorPeriodS = 0.05;
+constexpr double kTempSensorNoiseK = 0.1;
+constexpr double kRailSensorPeriodS = 0.1;
+constexpr double kRailSensorNoiseW = 0.005;
+/// Memory pseudo-cluster activity: busy fraction =
+/// kMemCpuCoeff * (cpu busy cores) + kMemGpuCoeff * (gpu busy cores).
+constexpr double kMemCpuCoeff = 0.08;
+constexpr double kMemGpuCoeff = 0.45;
+
 std::vector<std::size_t> opps_per_cluster(const platform::SocSpec& spec) {
   std::vector<std::size_t> out;
   out.reserve(spec.clusters.size());
@@ -37,9 +51,6 @@ Engine::Engine(platform::SocSpec soc_spec,
       scheduler_(soc_spec, config.window_s),
       trace_(soc_spec.clusters.size(), opps_per_cluster(soc_spec)),
       power_window_(config.window_s) {
-  if (config_.tick_s <= 0.0) {
-    throw ConfigError("Engine: tick must be positive");
-  }
   const std::size_t n = soc_.num_clusters();
   // Validate thermal-node mapping and locate the board node (assumed to be
   // the node no cluster maps to, by convention the last one).
@@ -78,8 +89,8 @@ Engine::Engine(platform::SocSpec soc_spec,
   for (std::size_t node = 0; node < network_.num_nodes(); ++node) {
     thermal::TemperatureSensor::Config sc;
     sc.name = network_.spec().nodes[node].name;
-    sc.period_s = util::seconds(config_.temp_sensor_period_s);
-    sc.noise_stddev_k = util::kelvin(config_.temp_sensor_noise_k);
+    sc.period_s = util::seconds(kTempSensorPeriodS);
+    sc.noise_stddev_k = util::kelvin(kTempSensorNoiseK);
     sc.lsb_k = util::kelvin(0.1);
     sc.seed = util::derive_seed(config_.seed, 100 + node);
     node_sensors_.emplace_back(sc);
@@ -88,8 +99,8 @@ Engine::Engine(platform::SocSpec soc_spec,
   for (std::size_t c = 0; c < n; ++c) {
     power::RailSensor::Config rc;
     rc.name = soc_.cluster(c).name;
-    rc.period_s = util::seconds(config_.rail_sensor_period_s);
-    rc.noise_stddev_w = util::watts(config_.rail_sensor_noise_w);
+    rc.period_s = util::seconds(kRailSensorPeriodS);
+    rc.noise_stddev_w = util::watts(kRailSensorNoiseW);
     rc.seed = util::derive_seed(config_.seed, 200 + c);
     rails_.emplace_back(rc);
   }
@@ -227,7 +238,7 @@ void Engine::set_initial_temperature(double t_k) {
 void Engine::run(double seconds, const std::atomic<bool>* stop) {
   // Carry fractional ticks across calls so repeated short runs advance
   // exactly as far as one long run (run(0.05) x20 == run(1.0)).
-  pending_ticks_ += seconds / config_.tick_s;
+  pending_ticks_ += seconds / kTickS;
   const auto ticks =
       static_cast<long long>(std::floor(pending_ticks_ + 1e-9));
   if (ticks <= 0) {
@@ -246,10 +257,9 @@ void Engine::run(double seconds, const std::atomic<bool>* stop) {
 
 void Engine::tick() {
   TickContext ctx;
-  ctx.dt = config_.tick_s;
+  ctx.dt = kTickS;
   stage_demand(ctx);
   stage_allocate(ctx);
-  stage_contention(ctx);
   stage_power(ctx);
   stage_thermal(ctx);
   stage_sensors(ctx);
@@ -266,10 +276,10 @@ void Engine::tick() {
     throw SimError(SimErrorCode::kNonFiniteTemperature, now_,
                    ctx.max_chip_temp_k, 0.0);
   }
-  if (config_.guard_max_temp_k > 0.0 &&
-      ctx.max_chip_temp_k > config_.guard_max_temp_k) {
+  if (guard_max_temp_k_ > 0.0 &&
+      ctx.max_chip_temp_k > guard_max_temp_k_) {
     throw SimError(SimErrorCode::kThermalRunaway, now_, ctx.max_chip_temp_k,
-                   config_.guard_max_temp_k);
+                   guard_max_temp_k_);
   }
 
   TickInfo info;
@@ -299,38 +309,6 @@ void Engine::stage_allocate(TickContext& ctx) {
   }
 }
 
-// Memory-bandwidth contention: aggregate app traffic vs. peak.
-void Engine::stage_contention(TickContext&) {
-  if (!config_.enable_memory_contention) {
-    return;
-  }
-  double bytes_per_s = 0.0;
-  for (AppSlot& slot : apps_) {
-    const double intensity = slot.instance->spec().mem_bytes_per_work;
-    if (intensity <= 0.0) {
-      continue;
-    }
-    double granted =
-        scheduler_.process(slot.instance->cpu_pid()).granted_rate();
-    if (slot.instance->gpu_pid() >= 0) {
-      granted +=
-          scheduler_.process(slot.instance->gpu_pid()).granted_rate();
-    }
-    bytes_per_s += granted * intensity;
-  }
-  last_mem_bw_gbps_ = bytes_per_s * 1e-9;
-  const double peak = config_.mem_peak_bandwidth_gbps;
-  last_mem_stall_ =
-      last_mem_bw_gbps_ > peak ? 1.0 - peak / last_mem_bw_gbps_ : 0.0;
-  if (last_mem_stall_ > 0.0) {
-    for (std::size_t c = 0; c < soc_.num_clusters(); ++c) {
-      if (soc_.cluster(c).kind != ResourceKind::kMemory) {
-        scheduler_.set_capacity_penalty(c, last_mem_stall_);
-      }
-    }
-  }
-}
-
 // Activities (memory activity follows CPU/GPU traffic), then power per
 // cluster and the thermal-node injection vector.
 void Engine::stage_power(TickContext& ctx) {
@@ -355,8 +333,8 @@ void Engine::stage_power(TickContext& ctx) {
     const ResourceKind kind = soc_.cluster(c).kind;
     if (kind == ResourceKind::kMemory) {
       activity.busy_cores =
-          std::clamp(config_.mem_cpu_coeff * ctx.cpu_busy_cores +
-                         config_.mem_gpu_coeff * ctx.gpu_busy_cores,
+          std::clamp(kMemCpuCoeff * ctx.cpu_busy_cores +
+                         kMemGpuCoeff * ctx.gpu_busy_cores,
                      0.0, 1.0);
       last_busy_cores_[c] = activity.busy_cores;
     } else {
@@ -498,7 +476,7 @@ void Engine::stage_dvfs(TickContext&) {
 // Decimated trace point.
 void Engine::stage_trace(TickContext& ctx) {
   trace_accum_ += ctx.dt;
-  if (trace_accum_ + 1e-12 < config_.trace_period_s) {
+  if (trace_accum_ + 1e-12 < kTracePeriodS) {
     return;
   }
   TracePoint p;

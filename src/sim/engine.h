@@ -2,14 +2,16 @@
 //
 // Binds the platform, power model, thermal network, scheduler, workloads
 // and governors into a staged tick pipeline:
-//   demand -> allocate/account -> contention -> power -> thermal
-//   -> sensors -> residency -> governors -> dvfs -> trace
+//   demand -> allocate/account -> power -> thermal -> sensors
+//   -> residency -> governors -> dvfs -> trace
 // Each stage is a private method receiving an explicit TickContext, so the
 // stages are independently testable and the loop reads as the methodology
 // diagram the paper describes.
 //
 // Governors only ever see sensor readings; the physics advances on the
-// true state. All randomness is derived from EngineConfig::seed.
+// true state. All randomness is derived from EngineConfig::seed. The tick
+// (1 ms), the trace period (0.1 s), the sensor rates and noise and the
+// memory-activity coefficients are fixed constants in engine.cpp.
 //
 // Instrumentation flows through the observer bus (sim/observer.h): after
 // every tick, and at every governor decision, DVFS transition, and
@@ -43,40 +45,11 @@
 namespace mobitherm::sim {
 
 struct EngineConfig {
-  double tick_s = 0.001;
-  double trace_period_s = 0.1;
   /// Sliding-window length for per-process and total-power accounting.
   double window_s = 1.0;
   std::uint64_t seed = 42;
-
-  double temp_sensor_period_s = 0.05;
-  double temp_sensor_noise_k = 0.1;
-  double rail_sensor_period_s = 0.1;
-  double rail_sensor_noise_w = 0.005;
   /// Record the whole-device DAQ trace (1 kHz) like the Nexus setup.
   bool enable_daq = false;
-
-  /// Memory pseudo-cluster activity: busy fraction =
-  /// mem_cpu_coeff * (cpu busy cores) + mem_gpu_coeff * (gpu busy cores).
-  double mem_cpu_coeff = 0.08;
-  double mem_gpu_coeff = 0.45;
-
-  /// Model DRAM bandwidth contention: when the apps' aggregate traffic
-  /// (granted work x AppSpec::mem_bytes_per_work) exceeds the peak
-  /// bandwidth, CPU/GPU capacity stalls proportionally on the next tick.
-  /// Off by default (the paper's workloads are compute/GPU bound).
-  bool enable_memory_contention = false;
-  double mem_peak_bandwidth_gbps = 13.0;
-
-  /// Runaway guard threshold (K): after every tick the hottest chip node
-  /// is compared against it and the run aborts with a typed sim::SimError
-  /// (SimErrorCode::kThermalRunaway) on the first tick that exceeds it —
-  /// the dynamics have crossed the Sec. IV-A critical power and have no
-  /// stable fixed point, so continuing would only integrate the
-  /// divergence. <= 0 disables the check (the default: divergence studies
-  /// like thermal_runaway_demo intentionally run past it). Non-finite node
-  /// temperatures always abort (kNonFiniteTemperature) regardless.
-  double guard_max_temp_k = 0.0;
 };
 
 class Engine {
@@ -115,13 +88,15 @@ class Engine {
   /// traces, whose curves begin well above ambient.
   void set_initial_temperature(double t_k);
 
-  /// Arm (or, with <= 0, disarm) the runaway guard after construction —
-  /// the service layer applies its policy to registry-built engines this
-  /// way. Equivalent to EngineConfig::guard_max_temp_k.
-  void set_runaway_guard(double max_temp_k) {
-    config_.guard_max_temp_k = max_temp_k;
-  }
-  double runaway_guard() const { return config_.guard_max_temp_k; }
+  /// Arm (or, with <= 0, disarm) the runaway guard (K): after every tick
+  /// the hottest chip node is compared against it and the run aborts with
+  /// a typed sim::SimError (SimErrorCode::kThermalRunaway) on the first
+  /// tick that exceeds it — the dynamics have crossed the Sec. IV-A
+  /// critical power and have no stable fixed point, so continuing would
+  /// only integrate the divergence. Disarmed by default: divergence studies
+  /// like thermal_runaway_demo intentionally run past it. Non-finite node
+  /// temperatures always abort (kNonFiniteTemperature) regardless.
+  void set_runaway_guard(double max_temp_k) { guard_max_temp_k_ = max_temp_k; }
 
   /// Advance the simulation by `seconds`. Fractional ticks are carried to
   /// the next call, so run(0.05) twenty times advances exactly as far as
@@ -162,9 +137,6 @@ class Engine {
   }
 
   core::AppAwareGovernor* appaware() { return appaware_.get(); }
-  governors::ThermalGovernor* thermal_governor() {
-    return thermal_gov_.get();
-  }
 
   /// Governor-contradiction accounting (paper Sec. I: "the outputs of the
   /// thermal and frequency governors may contradict each other"): time the
@@ -177,13 +149,6 @@ class Engine {
   /// Number of OPP changes applied on `cluster` so far (built-in
   /// DvfsTransitionCounter).
   std::size_t dvfs_transitions(std::size_t cluster) const;
-
-  /// Aggregate DRAM traffic demanded during the last tick (GB/s); 0 when
-  /// the contention model is disabled.
-  double memory_bandwidth_gbps() const { return last_mem_bw_gbps_; }
-
-  /// Fraction of the last tick stalled on memory (0 when uncontended).
-  double memory_stall_fraction() const { return last_mem_stall_; }
 
   /// Timestamped decisions of the application-aware governor (built-in
   /// DecisionLogObserver).
@@ -214,7 +179,6 @@ class Engine {
   // Pipeline stages, in tick order.
   void stage_demand(TickContext& ctx);       // app demand rates
   void stage_allocate(TickContext& ctx);     // scheduler + frame accounting
-  void stage_contention(TickContext& ctx);   // DRAM bandwidth stalls
   void stage_power(TickContext& ctx);        // activities -> cluster power
   void stage_thermal(TickContext& ctx);      // RC network step
   void stage_sensors(TickContext& ctx);      // sensor sampling
@@ -260,8 +224,8 @@ class Engine {
   double appaware_accum_ = 0.0;
 
   std::vector<bool> in_conflict_;
-  double last_mem_bw_gbps_ = 0.0;
-  double last_mem_stall_ = 0.0;
+  /// Runaway-guard threshold (K); <= 0 disarms it (set_runaway_guard).
+  double guard_max_temp_k_ = 0.0;
 
   // Sensors.
   std::vector<thermal::TemperatureSensor> node_sensors_;

@@ -98,11 +98,8 @@ MetricsObserver::MetricsObserver(MetricsOptions options)
 
 void MetricsObserver::on_tick(const TickInfo& info) {
   ++ticks_;
-  const double c = kelvin_to_celsius(info.max_chip_temp_k);
-  live_peak_temp_c_ = std::max(live_peak_temp_c_, c);
-  if (c > options_.temp_limit_c) {
-    live_above_limit_s_ += info.dt;
-  }
+  live_peak_temp_c_ =
+      std::max(live_peak_temp_c_, kelvin_to_celsius(info.max_chip_temp_k));
 }
 
 RunMetrics MetricsObserver::metrics(const Engine& engine) const {

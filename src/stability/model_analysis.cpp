@@ -121,14 +121,6 @@ ModelFixedPoint analyze_exp(const ExpDynamics& d, double p_dyn_w,
 
 }  // namespace
 
-double model_leakage_w(const power::LeakageParams& leakage, double t_k) {
-  if (leakage.form == power::LeakageForm::kBsim) {
-    return leakage.a_w_per_k2.value() * t_k * t_k *
-           std::exp(-leakage.theta_k.value() / t_k);
-  }
-  return leakage.exp_a_w.value() * std::exp(leakage.exp_b_per_k * t_k);
-}
-
 ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
                               const power::LeakageParams& leakage,
                               double p_dyn_w, double critical_tol) {
@@ -144,16 +136,6 @@ ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
     return result;
   }
   return analyze_exp(exp_dynamics(base, leakage), p_dyn_w, critical_tol);
-}
-
-double model_critical_power(const thermal::LumpedParams& base,
-                            const power::LeakageParams& leakage) {
-  if (leakage.form == power::LeakageForm::kBsim) {
-    return critical_power(baseline_params(base, leakage));
-  }
-  const ExpDynamics d = exp_dynamics(base, leakage);
-  const double t_star = exp_tangency_temp(d);
-  return d.g * (t_star - d.tamb) - d.g / d.b;
 }
 
 double model_stable_temperature(const thermal::LumpedParams& base,

@@ -46,20 +46,11 @@ struct ModelFixedPoint {
 // powers and temperatures can be swept and bisected directly.
 // MOBILINT: raw-units-ok
 
-/// Lumped leakage power of `leakage` at temperature `t_k` (nominal
-/// voltage), whichever functional form is selected.
-double model_leakage_w(const power::LeakageParams& leakage, double t_k);
-
 /// Full fixed-point analysis of C dT/dt = -G (T - T_amb) + P_dyn + L(T)
 /// where G/T_amb come from `base` and L is `leakage`'s strategy.
 ModelFixedPoint analyze_model(const thermal::LumpedParams& base,
                               const power::LeakageParams& leakage,
                               double p_dyn_w, double critical_tol = 1e-9);
-
-/// Critical power of the dynamics under `leakage` (closed form for the
-/// exponential model, bisection for the baseline).
-double model_critical_power(const thermal::LumpedParams& base,
-                            const power::LeakageParams& leakage);
 
 /// Steady-state temperature at `p_dyn_w`; throws util::NumericError when
 /// the model has no fixed point (runaway at any start).

@@ -46,8 +46,10 @@ struct AppSpec {
   bool realtime = false;
   int cpu_threads = 2;
 
-  /// DRAM traffic per work unit (bytes). Only used when the engine's
-  /// memory-contention model is enabled; 0 = negligible traffic.
+  /// DRAM traffic per work unit (bytes); 0 = negligible traffic. A pack
+  /// format field (validated, serialised, part of the content hash); the
+  /// engine models no DRAM bandwidth contention, so it does not change a
+  /// run.
   double mem_bytes_per_work = 0.0;
 };
 

@@ -23,9 +23,10 @@ namespace mobitherm::workload {
 AppSpec cpu_burn_ramp(int steps, double step_s, double cpu_from,
                       double cpu_to, int threads = 4);
 
-/// Memory-bound batch phase: unbounded CPU demand with `bytes_per_work`
-/// DRAM traffic per cycle, so the memory rail (and the contention model,
-/// when enabled) dominates. Batch semantics: measured by completed work.
+/// Memory-bound batch phase: unbounded CPU demand tagged with
+/// `bytes_per_work` DRAM traffic per cycle (AppSpec::mem_bytes_per_work;
+/// the engine models no bandwidth contention, so it runs as a CPU-bound
+/// batch). Batch semantics: measured by completed work.
 AppSpec memory_bound(double cpu_work, double bytes_per_work,
                      int threads = 2);
 

@@ -85,20 +85,14 @@ TEST(Interactive, BurstsToHispeedOnLoad) {
 }
 
 TEST(Interactive, RaisesToMaxAfterDelay) {
-  Interactive::Config cfg;
-  cfg.above_hispeed_delay_s = util::seconds(0.02);
-  cfg.sampling_period_s = util::seconds(0.02);
-  Interactive gov(cfg);
+  Interactive gov;  // 20 ms above_hispeed_delay = one 20 ms sample
   EXPECT_EQ(gov.decide(in(0.95, 0), ladder()), 3u);   // burst
   // At hispeed, still loaded: after the delay it may go to max.
   EXPECT_EQ(gov.decide(in(0.95, 3), ladder()), 4u);
 }
 
 TEST(Interactive, HoldsBeforeDropping) {
-  Interactive::Config cfg;
-  cfg.min_sample_time_s = util::seconds(0.08);
-  cfg.sampling_period_s = util::seconds(0.02);
-  Interactive gov(cfg);
+  Interactive gov;  // 80 ms min_sample_time at 20 ms sampling
   // Load vanishes at 800 MHz: must hold for min_sample_time (4 samples).
   EXPECT_EQ(gov.decide(in(0.05, 3), ladder()), 3u);
   EXPECT_EQ(gov.decide(in(0.05, 3), ladder()), 3u);

@@ -437,5 +437,16 @@ TEST(NetServer, ShutdownOpStopsTheLoopAfterAcknowledging) {
   EXPECT_TRUE(server.shutdown_requested());
 }
 
+TEST(NetServer, RejectsPortOutsideTheTcpRange) {
+  ShardedService fleet(ScenarioRegistry::standard(), small_config(), 1);
+  SimServer server(fleet);
+  for (const int port : {-1, 65536, 1 << 20}) {
+    NetServerConfig config;
+    config.port = port;
+    EXPECT_THROW({ NetServer net(server, config); }, util::ConfigError)
+        << port;
+  }
+}
+
 }  // namespace
 }  // namespace mobitherm::service

@@ -1,13 +1,10 @@
 // Observer-bus tests: passive observers never perturb the simulation
-// (byte-identical traces with zero, one, N observers), the built-in
+// (bit-identical traces with zero, one, N observers), the built-in
 // instrumentation observers agree with the legacy engine accessors, and
 // every event type fires when its source is wired.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "platform/presets.h"
@@ -100,31 +97,25 @@ struct CountingObserver final : SimObserver {
   }
 };
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Serialize a trace to bytes via both CSV exporters.
-std::string trace_bytes(const Engine& engine, const std::string& tag) {
-  const std::string ts = ::testing::TempDir() + "obs_" + tag + "_ts.csv";
-  const std::string rs = ::testing::TempDir() + "obs_" + tag + "_res.csv";
-  std::vector<std::string> clusters;
-  for (std::size_t c = 0; c < engine.soc().num_clusters(); ++c) {
-    clusters.push_back(engine.soc().cluster(c).name);
+/// Every recorded value of two traces is bit-equal: each TracePoint field,
+/// each cluster's OPP residency and rail power, and the duration.
+void expect_identical(const Trace& a, const Trace& b, std::size_t clusters) {
+  ASSERT_EQ(a.points().size(), b.points().size());
+  for (std::size_t i = 0; i < a.points().size(); ++i) {
+    const TracePoint& pa = a.points()[i];
+    const TracePoint& pb = b.points()[i];
+    EXPECT_EQ(pa.t_s, pb.t_s) << i;
+    EXPECT_EQ(pa.max_chip_temp_k, pb.max_chip_temp_k) << i;
+    EXPECT_EQ(pa.board_temp_k, pb.board_temp_k) << i;
+    EXPECT_EQ(pa.total_power_w, pb.total_power_w) << i;
+    EXPECT_EQ(pa.cluster_freq_hz, pb.cluster_freq_hz) << i;
+    EXPECT_EQ(pa.app_fps, pb.app_fps) << i;
   }
-  engine.trace().write_timeseries_csv(ts, clusters, {"app"});
-  std::vector<double> freqs;
-  for (const platform::OperatingPoint& p : engine.soc().cluster(0).opps) {
-    freqs.push_back(p.freq_hz.value());
+  for (std::size_t c = 0; c < clusters; ++c) {
+    EXPECT_EQ(a.residency_s(c), b.residency_s(c)) << c;
+    EXPECT_EQ(a.mean_rail_power_w(c), b.mean_rail_power_w(c)) << c;
   }
-  engine.trace().write_residency_csv(rs, 0, freqs);
-  const std::string bytes = slurp(ts) + "\x1e" + slurp(rs);
-  std::remove(ts.c_str());
-  std::remove(rs.c_str());
-  return bytes;
+  EXPECT_EQ(a.duration_s(), b.duration_s());
 }
 
 TEST(ObserverBus, TraceByteIdenticalWithZeroOneManyObservers) {
@@ -145,13 +136,13 @@ TEST(ObserverBus, TraceByteIdenticalWithZeroOneManyObservers) {
       engine->add_observer(&b);
     }
     engine->run(3.0);
-    return trace_bytes(*engine, "n" + std::to_string(observers));
+    return engine->trace();
   };
-  const std::string zero = run_with(0);
-  const std::string one = run_with(1);
-  const std::string many = run_with(3);
-  EXPECT_EQ(zero, one);
-  EXPECT_EQ(zero, many);
+  const Trace zero = run_with(0);
+  const std::size_t clusters = platform::exynos5422().clusters.size();
+  ASSERT_FALSE(zero.points().empty());
+  expect_identical(zero, run_with(1), clusters);
+  expect_identical(zero, run_with(3), clusters);
 }
 
 TEST(ObserverBus, ExternalBuiltinsMatchLegacyAccessors) {

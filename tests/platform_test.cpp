@@ -1,6 +1,7 @@
 // Unit tests for the platform module: OPP tables, SoC state, board presets.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "platform/opp.h"
@@ -79,11 +80,20 @@ TEST(Soc, RejectsEmptyOppTable) {
   EXPECT_THROW(Soc soc(spec), ConfigError);
 }
 
+TEST(Soc, RejectsNonPositiveOrNanIpc) {
+  for (const double ipc : {0.0, -1.0, std::nan("")}) {
+    SocSpec spec = exynos5422();
+    spec.clusters[0].ipc = ipc;
+    EXPECT_THROW(Soc soc(spec), ConfigError) << ipc;
+  }
+}
+
 TEST(Soc, StartsAtLowestOppAllCoresOnline) {
   const Soc soc(snapdragon810());
   for (std::size_t c = 0; c < soc.num_clusters(); ++c) {
     EXPECT_EQ(soc.state(c).opp_index, 0u);
-    EXPECT_EQ(soc.state(c).online_cores, soc.cluster(c).num_cores);
+    EXPECT_DOUBLE_EQ(soc.capacity(c),
+                     soc.per_core_rate(c) * soc.cluster(c).num_cores);
   }
 }
 

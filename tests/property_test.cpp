@@ -158,7 +158,7 @@ TEST_P(RandomScheduling, WorkConservingAndBounded) {
   for (std::size_t c = 0; c < soc.num_clusters(); ++c) {
     // Never exceed cluster capacity.
     EXPECT_LE(scheduler.cluster_busy_cores(c),
-              soc.state(c).online_cores + 1e-9);
+              soc.cluster(c).num_cores + 1e-9);
     EXPECT_LE(scheduler.governor_utilization(c), 1.0 + 1e-9);
     EXPECT_GE(scheduler.governor_utilization(c), 0.0);
   }
@@ -168,7 +168,7 @@ TEST_P(RandomScheduling, WorkConservingAndBounded) {
     EXPECT_LE(p.granted_rate(), p.demand_rate() + 1e-6);
     const double cap =
         soc.per_core_rate(p.cluster()) *
-        std::min(p.spec().threads, soc.state(p.cluster()).online_cores);
+        std::min(p.spec().threads, soc.cluster(p.cluster()).num_cores);
     EXPECT_LE(p.granted_rate(), cap + 1e-6);
   }
 
@@ -183,14 +183,14 @@ TEST_P(RandomScheduling, WorkConservingAndBounded) {
       }
       const double cap =
           soc.per_core_rate(c) *
-          std::min(p.spec().threads, soc.state(c).online_cores);
+          std::min(p.spec().threads, soc.cluster(c).num_cores);
       if (p.granted_rate() + 1e-3 < std::min(p.demand_rate(), cap)) {
         someone_throttled = true;
       }
     }
     if (someone_throttled) {
-      const int online = soc.state(c).online_cores;
-      EXPECT_NEAR(scheduler.cluster_busy_cores(c), online, 1e-6 * online)
+      const int cores = soc.cluster(c).num_cores;
+      EXPECT_NEAR(scheduler.cluster_busy_cores(c), cores, 1e-6 * cores)
           << "cluster " << c;
     }
   }

@@ -220,12 +220,6 @@ TEST(Scheduler, CompletedWorkAccumulates) {
   EXPECT_NEAR(f.sched.process(pid).completed_work(), 4.0e9, 1e6);
 }
 
-TEST(Scheduler, CapacityPenaltyValidation) {
-  Fixture f;
-  EXPECT_THROW(f.sched.set_capacity_penalty(99, 0.5), ConfigError);
-  EXPECT_THROW(f.sched.set_capacity_penalty(0, 1.5), ConfigError);
-}
-
 TEST(Process, ClassNames) {
   EXPECT_STREQ(to_string(ProcessClass::kForeground), "foreground");
   EXPECT_STREQ(to_string(ProcessClass::kBackground), "background");

@@ -442,20 +442,5 @@ TEST(SafePower, HeadroomSigns) {
   EXPECT_LT(power_headroom(p, limit, budget + 0.5), 0.0);
 }
 
-TEST(SafePower, AssessConsistency) {
-  const Params p = odroid_xu3_params();
-  const double limit = util::celsius_to_kelvin(85.0);
-  const SafetyReport ok = assess(p, limit, 2.0);
-  EXPECT_TRUE(ok.sustainable);
-  EXPECT_GT(ok.headroom_w, 0.0);
-  const SafetyReport bad = assess(p, limit, 5.0);
-  EXPECT_FALSE(bad.sustainable);
-  EXPECT_LT(bad.headroom_w, 0.0);
-  const SafetyReport runaway = assess(p, limit, 8.0);
-  EXPECT_EQ(runaway.cls, StabilityClass::kUnstable);
-  EXPECT_FALSE(runaway.sustainable);
-  EXPECT_THROW(assess(p, limit, -1.0), NumericError);
-}
-
 }  // namespace
 }  // namespace mobitherm::stability
